@@ -22,6 +22,17 @@ fn bench_compile(c: &mut Criterion) {
     g.bench_function("image_decode_bmp180", |b| {
         b.iter(|| black_box(upnp_dsl::image::DriverImage::from_bytes(&bytes).unwrap()))
     });
+    // What every Thing runs on each image it receives before install.
+    for (name, src) in drivers::ALL {
+        let bytes = compile_source(src, 1).expect("compiles").to_bytes();
+        g.bench_function(format!("decode_verify_{name}"), |b| {
+            b.iter(|| {
+                let image = upnp_dsl::image::DriverImage::from_bytes(black_box(&bytes))
+                    .expect("shipped image decodes");
+                black_box(upnp_dsl::verify(&image)).expect("shipped image verifies")
+            })
+        });
+    }
     g.finish();
 }
 

@@ -6,6 +6,7 @@ use upnp_net::addr;
 use upnp_net::link::LinkQuality;
 use upnp_net::msg::{AdvertisedPeripheral, Message, MessageBody};
 use upnp_net::rpl::{Dodag, Topology};
+use upnp_net::smrf::{plan_from_path, MarkScratch};
 use upnp_net::tlv::{Tlv, TlvType};
 use upnp_net::{Datagram, Network};
 use upnp_sim::{SimDuration, SimTime};
@@ -45,6 +46,21 @@ fn bench_net(c: &mut Criterion) {
         let dodag = Dodag::build(&topo, 0);
         let members: std::collections::BTreeSet<usize> = (56..64).collect();
         b.iter(|| black_box(upnp_net::smrf::plan(&dodag, 5, &members).unwrap()))
+    });
+
+    g.bench_function("smrf_plan_star_25k", |b| {
+        // Fleet shape: one leaf's advertisement to a 4-client group on a
+        // 25 000-child star, reusing the marking scratch as the network
+        // does. The cost must not grow with the root's fan-out.
+        let mut topo = Topology::new(25_001);
+        for i in 1..=25_000 {
+            topo.link(0, i, LinkQuality::PERFECT);
+        }
+        let dodag = Dodag::build(&topo, 0);
+        let members: std::collections::BTreeSet<usize> = (1..=4).collect();
+        let path = dodag.path_to_root(12_345);
+        let mut scratch = MarkScratch::new();
+        b.iter(|| black_box(plan_from_path(&dodag, &path, &members, &mut scratch).unwrap()))
     });
 
     g.bench_function("unicast_send_3_hops", |b| {

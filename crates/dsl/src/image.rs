@@ -117,7 +117,7 @@ pub enum ImageError {
     BadTag(u8),
     /// A handler offset points outside the code region.
     BadOffset(u16),
-    /// The bytecode fails to disassemble at the given offset.
+    /// The bytecode fails to decode at the given offset.
     BadCode(usize),
 }
 
@@ -228,7 +228,7 @@ impl DriverImage {
                 return Err(ImageError::BadOffset(h.offset));
             }
         }
-        isa::disassemble(&code).map_err(ImageError::BadCode)?;
+        isa::validate(&code).map_err(ImageError::BadCode)?;
 
         Ok(DriverImage {
             device_id,

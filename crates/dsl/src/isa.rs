@@ -246,6 +246,26 @@ impl Op {
     }
 }
 
+/// Checks that a code region decodes as a whole number of instructions,
+/// without building the text [`disassemble`] would.
+///
+/// # Errors
+///
+/// Returns the offset of the first undecodable byte, exactly as
+/// [`disassemble`] does.
+pub fn validate(code: &[u8]) -> Result<(), usize> {
+    let mut i = 0;
+    while i < code.len() {
+        let op = Op::from_byte(code[i]).ok_or(i)?;
+        let next = i + 1 + op.operand_len();
+        if next > code.len() {
+            return Err(i);
+        }
+        i = next;
+    }
+    Ok(())
+}
+
 /// Disassembles a code region into printable lines (offset, mnemonic,
 /// operands).
 ///
@@ -357,6 +377,39 @@ mod tests {
         assert_eq!(disassemble(&[0x03, 1, 2]), Err(0));
         // Valid prefix, bad tail.
         assert_eq!(disassemble(&[0x00, 0x99]), Err(1));
+    }
+
+    #[test]
+    fn validate_rejects_like_the_disassembler() {
+        assert_eq!(validate(&[]), Ok(()));
+        assert_eq!(validate(&[0x01, 5, 0x63]), Ok(()));
+        assert_eq!(validate(&[0x99]), Err(0));
+        assert_eq!(validate(&[0x03, 1, 2]), Err(0));
+        assert_eq!(validate(&[0x00, 0x99]), Err(1));
+    }
+
+    proptest::proptest! {
+        /// `validate` is `disassemble` without the text, on any bytes.
+        /// With `mostly_ops`, seven bytes in eight are remapped onto valid
+        /// opcodes so long streams decode and fail late, not at byte 0.
+        #[test]
+        fn validate_matches_disassemble(
+            bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..64),
+            mostly_ops in proptest::arbitrary::any::<bool>(),
+        ) {
+            let valid: Vec<u8> = (0..=255).filter(|&b| Op::from_byte(b).is_some()).collect();
+            let code: Vec<u8> = bytes
+                .iter()
+                .map(|&b| {
+                    if mostly_ops && b % 8 != 0 && Op::from_byte(b).is_none() {
+                        valid[b as usize % valid.len()]
+                    } else {
+                        b
+                    }
+                })
+                .collect();
+            proptest::prop_assert_eq!(validate(&code), disassemble(&code).map(|_| ()));
+        }
     }
 
     #[test]

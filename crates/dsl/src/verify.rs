@@ -20,10 +20,8 @@
 //! validator's job is to reject bad images *before* they replace a
 //! working driver.
 
-use std::collections::HashMap;
-
 use crate::events;
-use crate::image::DriverImage;
+use crate::image::{DriverImage, HandlerEntry};
 use crate::isa::Op;
 use crate::vm_limits::STACK_DEPTH;
 
@@ -100,11 +98,19 @@ impl std::error::Error for VerifyError {}
 /// unknown destination.
 pub fn verify(image: &DriverImage) -> Result<(), VerifyError> {
     verify_structure(image)?;
+    let slots = slot_counts(image);
+    // pc → stack height on entry, dense over the code region and reused
+    // across handlers.
+    let mut seen = vec![UNSEEN; image.code.len()];
     for h in &image.handlers {
-        verify_handler(image, h.offset as usize, h.event_id, h.n_params)?;
+        seen.fill(UNSEEN);
+        verify_handler(image, slots, &mut seen, h)?;
     }
     Ok(())
 }
+
+/// A pc the current handler's walk has not reached yet.
+const UNSEEN: usize = usize::MAX;
 
 fn verify_structure(image: &DriverImage) -> Result<(), VerifyError> {
     for must in [events::ids::INIT, events::ids::DESTROY] {
@@ -129,9 +135,9 @@ fn verify_structure(image: &DriverImage) -> Result<(), VerifyError> {
             return Err(VerifyError::UnknownImport(lib));
         }
     }
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = [false; 256];
     for h in &image.handlers {
-        if !seen.insert(h.event_id) {
+        if std::mem::replace(&mut seen[h.event_id as usize], true) {
             return Err(VerifyError::DuplicateHandler(h.event_id));
         }
         if h.offset as usize >= image.code.len() && !image.code.is_empty() {
@@ -158,28 +164,28 @@ fn slot_counts(image: &DriverImage) -> (usize, usize) {
 
 /// Abstract interpretation over one handler: track the stack height along
 /// every path, checking instruction-level safety properties as we go.
+///
+/// `seen` holds the entry height per pc (`UNSEEN` if not reached yet) and
+/// must be `UNSEEN` throughout and `image.code.len()` long on entry.
 fn verify_handler(
     image: &DriverImage,
-    entry: usize,
-    event_id: u8,
-    n_params: u8,
+    (n_scalars, n_arrays): (usize, usize),
+    seen: &mut [usize],
+    handler: &HandlerEntry,
 ) -> Result<(), VerifyError> {
     let code = &image.code;
-    let (n_scalars, n_arrays) = slot_counts(image);
-    // offset → stack height on entry.
-    let mut seen: HashMap<usize, usize> = HashMap::new();
-    let mut work: Vec<(usize, usize)> = vec![(entry, 0)];
+    let n_params = handler.n_params;
+    let mut work: Vec<(usize, usize)> = vec![(handler.offset as usize, 0)];
 
     while let Some((pc, height)) = work.pop() {
+        // Checked before `seen[pc]`: jumps may target `code.len()`.
         if pc >= code.len() {
-            return Err(VerifyError::FallsOffEnd(event_id));
+            return Err(VerifyError::FallsOffEnd(handler.event_id));
         }
-        match seen.get(&pc) {
-            Some(&h) if h == height => continue,
-            Some(_) => return Err(VerifyError::InconsistentStack(pc)),
-            None => {
-                seen.insert(pc, height);
-            }
+        match seen[pc] {
+            UNSEEN => seen[pc] = height,
+            h if h == height => continue,
+            _ => return Err(VerifyError::InconsistentStack(pc)),
         }
         let op = Op::from_byte(code[pc]).ok_or(VerifyError::BadInstruction(pc))?;
         let n = op.operand_len();
@@ -391,6 +397,37 @@ mod tests {
         img.code = vec![0x00];
         img.handlers[1].offset = 0;
         assert_eq!(verify(&img), Err(VerifyError::FallsOffEnd(0)));
+    }
+
+    #[test]
+    fn jump_to_exactly_the_code_end_falls_off() {
+        // 0: JMP +1 → target 3 + 1 = 4 = code.len(); 3: RET (destroy).
+        let img = image_with_code(vec![0x50, 0x01, 0x00, 0x63]);
+        assert_eq!(
+            verify(&img),
+            Err(VerifyError::FallsOffEnd(events::ids::INIT))
+        );
+    }
+
+    #[test]
+    fn back_edge_at_another_height_is_inconsistent() {
+        // 0: NOP (height 0); 1: PUSH8 1; 3: JMP -6 → back to 0 at height 1.
+        let img = image_with_code(vec![0x00, 0x01, 1, 0x50, 0xfa, 0xff, 0x63]);
+        assert_eq!(verify(&img), Err(VerifyError::InconsistentStack(0)));
+    }
+
+    #[test]
+    fn torn_prefixes_of_shipped_images_never_pass() {
+        // A Thing whose MCU crashed mid-flash rechecks the prefix it wrote
+        // before reuse; no prefix of a real image may decode and verify.
+        for (name, src) in crate::drivers::ALL {
+            let bytes = compile_source(src, 1).unwrap().to_bytes();
+            for cut in 0..bytes.len() {
+                let passes = crate::DriverImage::from_bytes(&bytes[..cut])
+                    .is_ok_and(|img| verify(&img).is_ok());
+                assert!(!passes, "{name}: a {cut}-byte torn prefix passed");
+            }
+        }
     }
 
     #[test]
