@@ -501,6 +501,29 @@ mod tests {
     }
 
     #[test]
+    fn fig3_and_fig5_waveforms_are_pinned() {
+        // The board keeps only its latest scan's capture; these figures
+        // read one scan each, so their text must not move.
+        assert_eq!(
+            exp_fig3_waveform(prototypes::ID20LA),
+            "Figure 3 — ID waveform for 0xed3f0ac1 (T1..T4):\n\
+             \x20 T1 =   94.765 ms  (byte 0xed)\n\
+             \x20 T2 =   25.377 ms  (byte 0x3f)\n\
+             \x20 T3 =   16.989 ms  (byte 0x0a)\n\
+             \x20 T4 =   67.903 ms  (byte 0xc1)\n\
+             \x20 sum of intervals = 205.034 ms\n"
+        );
+        assert_eq!(
+            exp_fig5_waveform(),
+            "Figure 5 — channel time slots (A and C occupied, B empty):\n\
+             \x20 channelA EN:    2.000 ->  163.081 ms  (slot 161.081 ms)\n\
+             \x20 channelB EN:  163.081 ->  191.581 ms  (slot 28.500 ms)\n\
+             \x20 channelC EN:  191.581 ->  397.615 ms  (slot 206.034 ms)\n\
+             \x20 output pulses observed: 8 (4 per occupied channel)\n"
+        );
+    }
+
+    #[test]
     fn sec61_reports_both_distributions() {
         let s = exp_sec61_identification();
         assert!(s.contains("prototypes"));

@@ -46,6 +46,19 @@ pub struct Client {
     pub closed_streams: Vec<u32>,
     /// Write acknowledgements: `(peripheral, ok)`.
     pub write_acks: Vec<(u32, bool)>,
+    /// Arrival instants of the observations that carry none, kept only
+    /// by the replicas of a sharded world so their logs merge in arrival
+    /// order; `None` (and free) everywhere else.
+    pub(crate) arrivals: Option<Arrivals>,
+}
+
+/// The virtual arrival instant of each entry in a replica client's
+/// `discovered`, `closed_streams` and `write_acks` logs, index for index.
+#[derive(Debug, Default)]
+pub(crate) struct Arrivals {
+    pub(crate) discovered: Vec<SimTime>,
+    pub(crate) closed_streams: Vec<SimTime>,
+    pub(crate) write_acks: Vec<SimTime>,
 }
 
 impl Client {
@@ -62,6 +75,7 @@ impl Client {
             stream_groups: HashMap::new(),
             closed_streams: Vec::new(),
             write_acks: Vec::new(),
+            arrivals: None,
         }
     }
 
@@ -154,23 +168,11 @@ impl Client {
         };
         match msg.body {
             MessageBody::UnsolicitedAdvertisement(ads) => {
-                for advert in ads {
-                    self.discovered.push(DiscoveredPeripheral {
-                        thing: dgram.src,
-                        advert,
-                        solicited: false,
-                    });
-                }
+                self.record_adverts(at, dgram.src, ads, false);
                 Vec::new()
             }
             MessageBody::SolicitedAdvertisement(ads) => {
-                for advert in ads {
-                    self.discovered.push(DiscoveredPeripheral {
-                        thing: dgram.src,
-                        advert,
-                        solicited: true,
-                    });
-                }
+                self.record_adverts(at, dgram.src, ads, true);
                 Vec::new()
             }
             MessageBody::Data { peripheral, value } => {
@@ -188,14 +190,38 @@ impl Client {
             }
             MessageBody::Closed { peripheral } => {
                 self.closed_streams.push(peripheral);
+                if let Some(a) = &mut self.arrivals {
+                    a.closed_streams.push(at);
+                }
                 Vec::new()
             }
             MessageBody::WriteAck { peripheral, ok } => {
                 self.write_acks.push((peripheral, ok));
+                if let Some(a) = &mut self.arrivals {
+                    a.write_acks.push(at);
+                }
                 Vec::new()
             }
             _ => Vec::new(),
         }
+    }
+
+    fn record_adverts(
+        &mut self,
+        at: SimTime,
+        thing: Ipv6Addr,
+        ads: Vec<AdvertisedPeripheral>,
+        solicited: bool,
+    ) {
+        if let Some(a) = &mut self.arrivals {
+            a.discovered.extend(std::iter::repeat_n(at, ads.len()));
+        }
+        self.discovered
+            .extend(ads.into_iter().map(|advert| DiscoveredPeripheral {
+                thing,
+                advert,
+                solicited,
+            }));
     }
 
     /// Things that advertised a given peripheral type.

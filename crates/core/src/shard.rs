@@ -17,8 +17,9 @@
 //! 2. **Replicated shared endpoints.** The manager and the clients exist
 //!    in every shard. The manager's replies are a pure function of each
 //!    request, so replicas cannot diverge; client replicas record the
-//!    observations of their own shard, and the coordinator merges the
-//!    streams in `(virtual time, shard)` order after every round.
+//!    observations of their own shard, and the coordinator moves them
+//!    into the master clients in `(virtual time, shard)` order after
+//!    every round.
 //! 3. **Epoch-exchanged cross-shard frames.** The rare multicast whose
 //!    group spans shards (a typed discovery probe) is captured when it
 //!    reaches the shard's DODAG root and re-played from the root in every
@@ -31,6 +32,7 @@
 //! while a fanout-f tree parallelises at most f ways.
 
 use std::collections::HashMap;
+use std::mem::take;
 use std::net::Ipv6Addr;
 
 use upnp_hw::id::DeviceTypeId;
@@ -41,7 +43,7 @@ use upnp_net::{Datagram, NodeId};
 use upnp_sim::SimTime;
 
 use crate::catalog::Catalog;
-use crate::client::Client;
+use crate::client::{Arrivals, Client};
 use crate::thing::Thing;
 use crate::world::{CacheId, ClientId, DistroStats, SimWorld, ThingId, World, WorldConfig};
 
@@ -81,19 +83,6 @@ struct Build {
     standby: Option<NodeId>,
 }
 
-/// Per-(shard, client) drain cursors into the replica's observation
-/// vectors, so each merge only touches the new tail.
-#[derive(Debug, Clone, Copy, Default)]
-struct ClientCursor {
-    discovered: usize,
-    readings: usize,
-    stream_data: usize,
-    closed_streams: usize,
-    write_acks: usize,
-    /// Last-seen size of the replica's (insert-only) stream-group map.
-    stream_groups: usize,
-}
-
 /// One freshly built shard: its world, the Things and edge caches it
 /// owns as `(global index, local handle)` pairs, and the client
 /// addresses (the same in every shard).
@@ -115,15 +104,16 @@ struct Running {
     thing_nodes: Vec<NodeId>,
     /// Global cache index → network node.
     cache_nodes: Vec<NodeId>,
-    /// Thing node → owning shard (for energy queries).
-    node_shard: HashMap<NodeId, usize>,
-    /// Unicast address → owning shard (for routing injected datagrams).
-    addr_shard: HashMap<Ipv6Addr, usize>,
+    /// Node id → the shard owning that Thing, `None` for every other
+    /// node. Dense, so the per-datagram and per-Thing lookups are an
+    /// index, not a hash.
+    thing_shard: Vec<Option<u16>>,
     /// Master clients: the merged observation streams, and the sequence
     /// counters request builders draw from (so wire seq numbers follow
-    /// the global issue order exactly as in the sequential world).
+    /// the global issue order exactly as in the sequential world). The
+    /// replicas' observations are moved here after every round, so
+    /// each one is held once.
     clients: Vec<Client>,
-    cursors: Vec<Vec<ClientCursor>>,
     now: SimTime,
 }
 
@@ -346,6 +336,7 @@ impl ShardedWorld {
                     }
                     BuildOp::Client => {
                         let id = w.add_client();
+                        w.client_mut(id).arrivals = Some(Arrivals::default());
                         debug_assert_eq!(w.client_node(id), client_nodes[addrs.len()]);
                         addrs.push(w.client(id).address);
                     }
@@ -406,12 +397,9 @@ impl ShardedWorld {
             worlds.push(w);
         }
 
-        let mut node_shard = HashMap::with_capacity(n_things);
-        let mut addr_shard = HashMap::with_capacity(n_things);
-        for i in 0..n_things {
-            let (s, local) = thing_home[i];
-            node_shard.insert(thing_nodes[i], s);
-            addr_shard.insert(worlds[s].thing_addr(local), s);
+        let mut thing_shard = vec![None; build.next_node as usize];
+        for (&node, &(s, _)) in thing_nodes.iter().zip(&thing_home) {
+            thing_shard[node.0 as usize] = Some(u16::try_from(s).expect("at most 65 535 shards"));
         }
         let clients = client_nodes
             .iter()
@@ -419,76 +407,78 @@ impl ShardedWorld {
             .map(|(&n, &a)| Client::new(n, a, self.config.prefix))
             .collect();
         self.state = State::Running(Box::new(Running {
-            cursors: vec![vec![ClientCursor::default(); n_clients]; worlds.len()],
             shards: worlds,
             thing_home,
             cache_home,
             thing_nodes,
             cache_nodes,
-            node_shard,
-            addr_shard,
+            thing_shard,
             clients,
             now: SimTime::ZERO,
         }));
     }
 
-    /// Folds each shard replica's *new* client observations into the
-    /// master clients: time-stamped streams merge in `(virtual time,
-    /// shard)` order; unstamped streams (discovered peripherals, closed
-    /// streams, write acks) append in shard order. Deterministic — no
-    /// thread-arrival order participates.
+    /// Moves each shard replica's client observations into the master
+    /// clients, leaving the replicas empty (their buffers are taken too,
+    /// so a replica holds nothing between rounds). Every log merges in
+    /// `(virtual arrival time, shard)` order, so the master logs equal
+    /// the sequential simulator's; no thread-arrival order participates.
     fn merge_clients(r: &mut Running) {
-        for c in 0..r.clients.len() {
+        for (c, master) in r.clients.iter_mut().enumerate() {
             let id = ClientId(c);
+            let mut discovered = Vec::new();
             let mut readings = Vec::new();
             let mut stream_data = Vec::new();
-            for (s, w) in r.shards.iter().enumerate() {
-                let replica = w.client(id);
-                let cur = &mut r.cursors[s][c];
-                for item in &replica.readings[cur.readings..] {
-                    readings.push((item.2, s, item.clone()));
-                }
-                cur.readings = replica.readings.len();
-                for item in &replica.stream_data[cur.stream_data..] {
-                    stream_data.push((item.2, s, item.clone()));
-                }
-                cur.stream_data = replica.stream_data.len();
+            let mut closed_streams = Vec::new();
+            let mut write_acks = Vec::new();
+            for (s, w) in r.shards.iter_mut().enumerate() {
+                let replica = w.client_mut(id);
+                let arrivals = replica
+                    .arrivals
+                    .as_mut()
+                    .expect("shard replica clients record arrivals");
+                discovered.extend(stamped(
+                    s,
+                    take(&mut arrivals.discovered),
+                    take(&mut replica.discovered),
+                ));
+                closed_streams.extend(stamped(
+                    s,
+                    take(&mut arrivals.closed_streams),
+                    take(&mut replica.closed_streams),
+                ));
+                write_acks.extend(stamped(
+                    s,
+                    take(&mut arrivals.write_acks),
+                    take(&mut replica.write_acks),
+                ));
+                readings.extend(take(&mut replica.readings).into_iter().map(|r| (r.2, s, r)));
+                stream_data.extend(
+                    take(&mut replica.stream_data)
+                        .into_iter()
+                        .map(|d| (d.2, s, d)),
+                );
+                // Keyed by group, so re-inserting is idempotent.
+                master
+                    .stream_groups
+                    .extend(take(&mut replica.stream_groups));
             }
-            readings.sort_by_key(|&(at, s, _)| (at, s));
-            stream_data.sort_by_key(|&(at, s, _)| (at, s));
-            let master = &mut r.clients[c];
-            master
-                .readings
-                .extend(readings.into_iter().map(|(_, _, i)| i));
-            master
-                .stream_data
-                .extend(stream_data.into_iter().map(|(_, _, i)| i));
-            for (s, w) in r.shards.iter().enumerate() {
-                let replica = w.client(id);
-                let cur = &mut r.cursors[s][c];
-                master
-                    .discovered
-                    .extend(replica.discovered[cur.discovered..].iter().cloned());
-                cur.discovered = replica.discovered.len();
-                master
-                    .closed_streams
-                    .extend(replica.closed_streams[cur.closed_streams..].iter().copied());
-                cur.closed_streams = replica.closed_streams.len();
-                master
-                    .write_acks
-                    .extend(replica.write_acks[cur.write_acks..].iter().copied());
-                cur.write_acks = replica.write_acks.len();
-                // stream_groups is insert-only, so a length cursor tells
-                // whether this replica learned anything new since the
-                // last round — skip the full map walk otherwise.
-                if replica.stream_groups.len() > cur.stream_groups {
-                    for (&g, &p) in &replica.stream_groups {
-                        master.stream_groups.insert(g, p);
-                    }
-                    cur.stream_groups = replica.stream_groups.len();
-                }
-            }
+            append_in_time_order(&mut master.discovered, discovered);
+            append_in_time_order(&mut master.readings, readings);
+            append_in_time_order(&mut master.stream_data, stream_data);
+            append_in_time_order(&mut master.closed_streams, closed_streams);
+            append_in_time_order(&mut master.write_acks, write_acks);
         }
+    }
+
+    /// The shard owning Thing `node`, or `None` for nodes no single
+    /// shard owns.
+    fn thing_shard(r: &Running, node: NodeId) -> Option<usize> {
+        r.thing_shard
+            .get(node.0 as usize)
+            .copied()
+            .flatten()
+            .map(usize::from)
     }
 
     /// One parallel round: every shard runs its own event loop on its own
@@ -568,6 +558,27 @@ impl ShardedWorld {
             Some(deadline) => deadline,
         };
     }
+}
+
+/// Pairs each entry of a replica log whose entries carry no instant with
+/// its arrival instant and shard `s`.
+fn stamped<T>(
+    s: usize,
+    arrivals: Vec<SimTime>,
+    log: Vec<T>,
+) -> impl Iterator<Item = (SimTime, usize, T)> {
+    arrivals
+        .into_iter()
+        .zip(log)
+        .map(move |(at, item)| (at, s, item))
+}
+
+/// Appends `(virtual time, shard, item)` observations to a master log in
+/// `(time, shard)` order; the sort is stable, so a shard's own order
+/// among equal instants is kept.
+fn append_in_time_order<T>(log: &mut Vec<T>, mut items: Vec<(SimTime, usize, T)>) {
+    items.sort_by_key(|&(at, s, _)| (at, s));
+    log.extend(items.into_iter().map(|(_, _, item)| item));
 }
 
 impl SimWorld for ShardedWorld {
@@ -740,7 +751,7 @@ impl SimWorld for ShardedWorld {
         // fall back to shard 0 — correct for replicated endpoints; an
         // unowned cache is unlinked there and answers `None`.
         let r = self.running();
-        let s = r.node_shard.get(&node).copied().unwrap_or(0);
+        let s = Self::thing_shard(r, node).unwrap_or(0);
         r.shards[s].dodag_parent(node)
     }
 
@@ -854,11 +865,13 @@ impl SimWorld for ShardedWorld {
         // against *its* subtree's cache, as it would sequentially.
         // Everything else (client-sourced traffic) homes on shard 0,
         // whose replicas account the shared uplink.
-        let shard = r
-            .addr_shard
-            .get(&dgram.dst)
-            .or_else(|| r.node_shard.get(&from))
-            .copied()
+        // Every shard derives unicast addresses from node ids alike, so
+        // shard 0's table resolves a destination for all of them.
+        let shard = r.shards[0]
+            .net
+            .node_by_addr(dgram.dst)
+            .and_then(|n| Self::thing_shard(r, n))
+            .or_else(|| Self::thing_shard(r, from))
             .unwrap_or(0);
         r.shards[shard].inject(at, from, dgram);
     }
@@ -898,10 +911,10 @@ impl SimWorld for ShardedWorld {
 
     fn radio_energy_j(&self, node: NodeId) -> f64 {
         let r = self.running();
-        match r.node_shard.get(&node) {
+        match Self::thing_shard(r, node) {
             // A Thing's meter is charged only in its owning shard, in the
             // same causal order as the sequential simulator — bit-exact.
-            Some(&s) => r.shards[s].net.radio_energy_j(node),
+            Some(s) => r.shards[s].net.radio_energy_j(node),
             // Replicated nodes (manager, clients) accrue energy in every
             // shard; the sum is order-sensitive in the last float bits
             // and is not part of any fingerprint.
@@ -1010,6 +1023,44 @@ mod tests {
         assert_eq!(shard_of(1), shard_of(4));
         assert_eq!(shard_of(1), shard_of(5));
         assert_ne!(shard_of(0), shard_of(1), "two subtrees spread over shards");
+    }
+
+    #[test]
+    fn replica_client_logs_are_empty_after_every_phase() {
+        // Observations move from the replicas into the master clients
+        // after every round: nothing is held twice, whatever K is.
+        use crate::fleet::{FleetConfig, ShardedFleet};
+        fn assert_moved(fleet: &ShardedFleet, phase: &str) {
+            for (s, w) in fleet.world.running().shards.iter().enumerate() {
+                for &c in &fleet.clients {
+                    let replica = w.client(c);
+                    let arrivals = replica.arrivals.as_ref().expect("replica");
+                    assert!(
+                        replica.discovered.is_empty()
+                            && replica.readings.is_empty()
+                            && replica.stream_data.is_empty()
+                            && replica.stream_groups.is_empty()
+                            && replica.closed_streams.is_empty()
+                            && replica.write_acks.is_empty()
+                            && arrivals.discovered.is_empty()
+                            && arrivals.closed_streams.is_empty()
+                            && arrivals.write_acks.is_empty(),
+                        "{phase}: shard {s} still holds {replica:?}"
+                    );
+                }
+            }
+        }
+        for k in [1, 2, 4] {
+            let mut fleet = ShardedFleet::build_sharded(FleetConfig::new(120), k);
+            fleet.discovery_wave();
+            assert_moved(&fleet, "discovery");
+            fleet.churn_storm(60);
+            assert_moved(&fleet, "churn");
+            fleet.steady_state(60);
+            assert_moved(&fleet, "steady");
+            let master = fleet.world.client(fleet.clients[0]);
+            assert!(!master.discovered.is_empty() && !master.readings.is_empty());
+        }
     }
 
     #[test]

@@ -501,6 +501,12 @@ impl World {
         &self.clients[id.0]
     }
 
+    /// Mutable client access, for the sharded world to move a replica's
+    /// observations into its master client.
+    pub(crate) fn client_mut(&mut self, id: ClientId) -> &mut Client {
+        &mut self.clients[id.0]
+    }
+
     /// Access the manager.
     ///
     /// # Panics
@@ -1091,16 +1097,6 @@ impl World {
         true
     }
 
-    /// Applies one edge cache's reply: sends go out after the processing
-    /// legs (mirroring the manager's accounting), retry timers enter the
-    /// world scheduler, and cache-served (5) uploads stitch the
-    /// upload-ready stamp into the requesting Thing's plug timeline just
-    /// as origin-served ones do.
-    /// Stitches the upload-ready stamp into the requesting Thing's plug
-    /// timeline when `dgram` is a (5) driver upload — the shared leg of
-    /// origin-served and cache-served replies, so their latency rows can
-    /// never drift apart. The type-byte pre-check keeps non-upload
-    /// traffic (chunk requests, acks) off the decoder.
     /// Feeds one delivery to a Manager replica (`standby` selects which)
     /// and applies its replies — the upload is "ready" after processing
     /// (end of the request-driver leg); its send path belongs to the
@@ -1141,15 +1137,13 @@ impl World {
         }
     }
 
+    /// Stitches the upload-ready stamp into the requesting Thing's plug
+    /// timeline when `dgram` is a (5) driver upload — the shared leg of
+    /// origin-served and cache-served replies, so their latency rows can
+    /// never drift apart. Only the upload header is read; the image is
+    /// never copied.
     fn stitch_upload_sent(&mut self, dgram: &Datagram, ready_at: SimTime) {
-        if dgram.payload.first() != Some(&upnp_net::msg::MessageBody::DRIVER_UPLOAD_TYPE) {
-            return;
-        }
-        if let Some(upnp_net::msg::Message {
-            body: upnp_net::msg::MessageBody::DriverUpload { peripheral, .. },
-            ..
-        }) = upnp_net::msg::Message::decode(&dgram.payload)
-        {
+        if let Some((peripheral, _)) = upnp_net::msg::Message::peek_upload(&dgram.payload) {
             if let Some(&i) = self.thing_by_addr.get(&dgram.dst) {
                 if let Some(tl) = self.things[i].timelines.get_mut(&peripheral) {
                     tl.upload_sent = Some(ready_at);
@@ -1160,21 +1154,19 @@ impl World {
 
     /// Routes a delivery to a *dead* Thing: only (5) driver uploads
     /// leave a trace — the flash write torn mid-stream — everything
-    /// else evaporates with the crashed MCU. The type-byte pre-check
-    /// keeps non-upload traffic off the decoder.
+    /// else evaporates with the crashed MCU. The image is read in place
+    /// from the frame, not decoded into a copy.
     fn stage_torn_upload(&mut self, thing: usize, dgram: &Datagram) {
-        if dgram.payload.first() != Some(&upnp_net::msg::MessageBody::DRIVER_UPLOAD_TYPE) {
-            return;
-        }
-        if let Some(upnp_net::msg::Message {
-            body: upnp_net::msg::MessageBody::DriverUpload { peripheral, image },
-            ..
-        }) = upnp_net::msg::Message::decode(&dgram.payload)
-        {
-            self.things[thing].stage_torn_upload(peripheral, &image);
+        if let Some((peripheral, image)) = upnp_net::msg::Message::peek_upload(&dgram.payload) {
+            self.things[thing].stage_torn_upload(peripheral, image);
         }
     }
 
+    /// Applies one edge cache's reply: sends go out after the processing
+    /// legs (mirroring the manager's accounting), retry timers enter the
+    /// world scheduler, and cache-served (5) uploads stitch the
+    /// upload-ready stamp into the requesting Thing's plug timeline just
+    /// as origin-served ones do.
     fn apply_cache_reply(
         &mut self,
         cache: usize,
@@ -1289,25 +1281,29 @@ impl World {
     /// pipelines from its plug timelines. A driver cached locally on
     /// the Thing installs inside the same board interrupt — no network
     /// legs exist — so such pipelines are closed here too.
+    ///
+    /// Every traced pipeline has a plug timeline, so the Thing's own
+    /// timelines name its candidate pipelines: the lookup costs the
+    /// Thing's device types, not the number of pipelines in flight
+    /// fleet-wide (a flash crowd holds every plug active at once).
     fn record_scan_spans(&mut self, thing: usize) {
         let node = self.things[thing].node.0 as u64;
-        let keys: Vec<(usize, u32)> = self
-            .active_traces
-            .keys()
-            .filter(|k| k.0 == thing)
-            .copied()
+        let mut scanned: Vec<(u32, SimTime, SimDuration, Option<SimTime>)> = self.things[thing]
+            .timelines
+            .iter()
+            .filter_map(|(&peripheral, tl)| {
+                Some((peripheral, tl.scan_started?, tl.scan?, tl.finished))
+            })
             .collect();
-        for key in keys {
-            let pt = self.active_traces[&key];
+        scanned.sort_unstable_by_key(|&(peripheral, ..)| peripheral);
+        for (peripheral, started, scan, finished) in scanned {
+            let key = (thing, peripheral);
+            let Some(&pt) = self.active_traces.get(&key) else {
+                continue;
+            };
             if pt.scan_recorded {
                 continue;
             }
-            let Some(tl) = self.things[thing].timelines.get(&key.1) else {
-                continue;
-            };
-            let (Some(started), Some(scan)) = (tl.scan_started, tl.scan) else {
-                continue;
-            };
             let scan_end = started + scan;
             let scan_span = Span::new(
                 pt.root,
@@ -1331,8 +1327,8 @@ impl World {
             // `finished >= scan start` distinguishes a locally served
             // pipeline from a stale stamp left by an earlier plug of
             // the same device type.
-            if tl.finished.is_some_and(|f| f >= started) {
-                self.record_install_spans(thing, key.1, identify.ctx(), scan_end);
+            if finished.is_some_and(|f| f >= started) {
+                self.record_install_spans(thing, peripheral, identify.ctx(), scan_end);
                 self.active_traces.remove(&key);
             }
         }
@@ -1464,11 +1460,7 @@ impl World {
         if ctx.is_none() {
             return;
         }
-        let Some(upnp_net::msg::Message {
-            body: upnp_net::msg::MessageBody::DriverUpload { peripheral, .. },
-            ..
-        }) = upnp_net::msg::Message::decode(&dgram.payload)
-        else {
+        let Some((peripheral, _)) = upnp_net::msg::Message::peek_upload(&dgram.payload) else {
             return;
         };
         let node = self.things[thing].node.0 as u64;

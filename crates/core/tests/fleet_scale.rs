@@ -104,3 +104,33 @@ fn tree_fleet_is_deterministic_and_complete() {
     };
     assert_eq!(run(), run());
 }
+
+#[test]
+fn boards_retain_one_scan_of_waveform_after_churn() {
+    // A board's scope capture holds its latest scan only — at most 32
+    // transitions on a three-channel board — however many interrupts a
+    // churn storm delivers, so board memory is bounded by fleet size,
+    // not event history.
+    let things = 200;
+    let mut fleet = Fleet::build(FleetConfig::new(things).with_seed(0x6030));
+    fleet.discovery_wave();
+    fleet.churn_storm(2_000);
+    let scans: u64 = fleet
+        .things
+        .iter()
+        .map(|&t| fleet.world.thing(t).board().scans())
+        .sum();
+    let retained: usize = fleet
+        .things
+        .iter()
+        .map(|&t| fleet.world.thing(t).board().trace().len())
+        .sum();
+    assert!(
+        scans > 2 * things as u64,
+        "the storm rescanned boards: {scans}"
+    );
+    assert!(
+        retained <= 32 * things,
+        "{retained} waveform events retained by {things} boards"
+    );
+}

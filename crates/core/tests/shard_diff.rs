@@ -8,6 +8,8 @@
 //! are process-global and other tests allocate payloads concurrently;
 //! the single-process `fleet` benchmark asserts their equality instead.
 
+use std::collections::BTreeMap;
+
 use upnp_core::fleet::{Fleet, FleetConfig, FleetTopology, ScenarioMetrics, ShardedFleet};
 use upnp_core::world::SimWorld;
 use upnp_sim::SimDuration;
@@ -30,6 +32,10 @@ fn config(things: usize, topology: FleetTopology) -> FleetConfig {
 /// summary)` — one body for both simulators, so the comparison cannot
 /// drift.
 fn run_suite<W: SimWorld>(mut fleet: Fleet<W>, things: usize) -> (u64, String) {
+    run_suite_in_place(&mut fleet, things)
+}
+
+fn run_suite_in_place<W: SimWorld>(fleet: &mut Fleet<W>, things: usize) -> (u64, String) {
     let d = fleet.discovery_wave();
     let c = fleet.churn_storm(things / 4);
     let s = fleet.steady_state(things / 4);
@@ -65,6 +71,50 @@ fn assert_equivalent(things: usize, topology: FleetTopology, shard_counts: &[usi
             seq_fp, fp,
             "fingerprint diverged at {things} things, {topology:?}, K={k}"
         );
+    }
+}
+
+/// Every client's full observation log after the suite, element for
+/// element (the keyed stream-group map in key order).
+fn client_logs<W: SimWorld>(fleet: &Fleet<W>) -> Vec<String> {
+    fleet
+        .clients
+        .iter()
+        .map(|&c| {
+            let client = fleet.world.client(c);
+            let groups: BTreeMap<_, _> = client.stream_groups.iter().collect();
+            format!(
+                "{:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{groups:?}",
+                client.discovered,
+                client.readings,
+                client.stream_data,
+                client.closed_streams,
+                client.write_acks,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn master_client_logs_match_the_sequential_world() {
+    // The master clients receive each replica's observations by move
+    // after every round; the merged logs must be the sequential
+    // world's logs in the same order, not merely the same counts the
+    // fingerprint hashes.
+    for topology in [FleetTopology::Star, FleetTopology::Tree { fanout: 4 }] {
+        let mut seq = Fleet::build(config(400, topology));
+        run_suite_in_place(&mut seq, 400);
+        let want = client_logs(&seq);
+        assert!(want.iter().all(|l| l.len() > 100), "the suite observed");
+        for k in [1, 2, 4] {
+            let mut sharded = ShardedFleet::build_sharded(config(400, topology), k);
+            run_suite_in_place(&mut sharded, 400);
+            assert_eq!(
+                client_logs(&sharded),
+                want,
+                "master client logs diverged, {topology:?}, K={k}"
+            );
+        }
     }
 }
 

@@ -109,6 +109,10 @@ impl std::fmt::Display for PlugError {
 
 impl std::error::Error for PlugError {}
 
+/// Waveform events one scan records: the start pulse's two edges, then
+/// per channel its enable line's two edges and four output pulses.
+const SCAN_TRACE_EVENTS: usize = 2 + calib::CHANNEL_COUNT * (2 + 4 * 2);
+
 /// The µPnP control board.
 pub struct ControlBoard {
     monostables: [Monostable; 4],
@@ -118,6 +122,7 @@ pub struct ControlBoard {
     channels: Vec<Option<PeripheralBoard>>,
     interrupt: bool,
     meter: EnergyMeter,
+    /// The capture of the latest scan only, restarted by every scan.
     trace: Trace,
     scans: u64,
 }
@@ -193,7 +198,7 @@ impl ControlBoard {
             channels: (0..calib::CHANNEL_COUNT).map(|_| None).collect(),
             interrupt: false,
             meter: EnergyMeter::new("upnp-board"),
-            trace: Trace::new(4096),
+            trace: Trace::new(SCAN_TRACE_EVENTS),
             scans: 0,
         }
     }
@@ -255,7 +260,8 @@ impl ControlBoard {
         &self.meter
     }
 
-    /// The waveform trace of the most recent scans (Figures 2/3/5).
+    /// The waveform trace of the most recent scan (Figures 2/3/5); empty
+    /// before the first scan.
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
@@ -269,15 +275,16 @@ impl ControlBoard {
     /// temperature `temp_c`, clearing the interrupt.
     ///
     /// Walks every channel slot, generates the pulse train (recorded into
-    /// the trace), measures and decodes each pulse, and accounts energy:
-    /// base scan power for the whole window plus pulse power while the
-    /// output line is high.
+    /// the trace, which then holds this scan's waveform only), measures
+    /// and decodes each pulse, and accounts energy: base scan power for
+    /// the whole window plus pulse power while the output line is high.
     pub fn scan(&mut self, now: SimTime, temp_c: f64) -> ScanOutcome {
         self.interrupt = false;
         self.scans += 1;
         let started = now;
         let mut t = now;
 
+        self.trace.clear();
         self.trace.record(t, "start", 1.0);
         t += calib::T_TRIGGER;
         self.trace.record(t, "start", 0.0);
@@ -507,6 +514,36 @@ mod tests {
             .map(|(s, e)| codec.decode(e.since(*s)).unwrap())
             .collect();
         assert_eq!(t1, prototypes::TMP36.bytes().to_vec());
+    }
+
+    #[test]
+    fn trace_retains_only_the_latest_scan() {
+        // A thousand plug/scan/unplug/scan cycles: the capture must hold
+        // the last scan's waveform and nothing older, so a board's
+        // memory does not grow with its interrupt history.
+        let mut board = ControlBoard::ideal();
+        let at = |i: u64| SimTime::ZERO + SimDuration::from_secs(i);
+        for i in 0..1000u64 {
+            let ch = (i % 3) as u8;
+            plug_ideal(
+                &mut board,
+                ch,
+                prototypes::ALL[i as usize % prototypes::ALL.len()],
+            );
+            board.scan(at(2 * i), 25.0);
+            board.unplug(ChannelId(ch));
+            board.scan(at(2 * i + 1), 25.0);
+        }
+        plug_ideal(&mut board, 1, prototypes::BMP180);
+        board.scan(at(2000), 25.0);
+
+        let mut fresh = ControlBoard::ideal();
+        plug_ideal(&mut fresh, 1, prototypes::BMP180);
+        fresh.scan(at(2000), 25.0);
+        assert_eq!(board.scans(), 2001);
+        assert_eq!(board.trace().len(), fresh.trace().len());
+        assert!(board.trace().iter().eq(fresh.trace().iter()));
+        assert_eq!(board.trace().dropped(), 0, "one scan fits the capture");
     }
 
     #[test]

@@ -581,6 +581,19 @@ impl Message {
         out
     }
 
+    /// Reads a (5) driver upload's peripheral id and image in place:
+    /// `Some` exactly when [`Message::decode`] would accept `data` as a
+    /// [`MessageBody::DriverUpload`], without copying the image.
+    pub fn peek_upload(data: &[u8]) -> Option<(u32, &[u8])> {
+        if *data.first()? != MessageBody::DRIVER_UPLOAD_TYPE {
+            return None;
+        }
+        let peripheral = u32::from_be_bytes(data.get(3..7)?.try_into().ok()?);
+        let len = u16::from_be_bytes(data.get(7..9)?.try_into().ok()?) as usize;
+        let image = &data[9..];
+        (image.len() == len).then_some((peripheral, image))
+    }
+
     /// Parses a UDP payload.
     ///
     /// Returns `None` for unknown types or truncated bodies.

@@ -217,7 +217,8 @@ pub struct RootedFrame {
 ///
 /// Fleet-scale hot paths are index-backed rather than scan-backed:
 ///
-/// * `addr_index` resolves unicast destinations in O(1);
+/// * unicast destinations resolve in O(1) by arithmetic: a node's
+///   address is derived from its index, so no address table is kept;
 /// * `group_index` maps each multicast group to its member set, so
 ///   membership queries and SMRF planning never walk the node table;
 /// * `anycast_index` keeps the instance set per anycast address;
@@ -249,7 +250,6 @@ pub struct Network {
     hop_seed: u64,
     radio: RadioModel,
     stats: NetStats,
-    addr_index: HashMap<Ipv6Addr, NodeId>,
     group_index: HashMap<Ipv6Addr, BTreeSet<Node>>,
     anycast_index: HashMap<Ipv6Addr, BTreeSet<NodeId>>,
     /// Memoised anycast resolution per `(source, anycast address)` —
@@ -310,7 +310,6 @@ impl Network {
             hop_seed: seed,
             radio: RadioModel::ieee802154(),
             stats: NetStats::default(),
-            addr_index: HashMap::with_capacity(nodes),
             group_index: HashMap::new(),
             anycast_index: HashMap::new(),
             anycast_cache: HashMap::new(),
@@ -365,7 +364,6 @@ impl Network {
             unicast,
             radio_meter: EnergyMeter::new("radio"),
         });
-        self.addr_index.insert(unicast, id);
         self.topo.add_node();
         id
     }
@@ -387,7 +385,12 @@ impl Network {
 
     /// Resolves a unicast address to its node.
     pub fn node_by_addr(&self, a: Ipv6Addr) -> Option<NodeId> {
-        self.addr_index.get(&a).copied()
+        // Inverts `add_node`'s derivation (interface id = index + 1);
+        // the comparison rejects other prefixes, subnets and groups.
+        let iid = u64::from_be_bytes(a.octets()[8..].try_into().ok()?);
+        let index = usize::try_from(iid.checked_sub(1)?).ok()?;
+        let node = self.nodes.get(index)?;
+        (node.unicast == a).then_some(NodeId(index as u32))
     }
 
     /// Connects two nodes with the given link quality.

@@ -17,6 +17,33 @@ proptest! {
         let _ = Message::decode(&bytes);
     }
 
+    /// The (5) upload header peek is total and agrees with the full
+    /// decoder on every frame: same peripheral and image when `decode`
+    /// yields an upload, `None` otherwise. `as_upload` and `fit_len`
+    /// steer the bytes towards the accept path and its off-by-one
+    /// neighbours, which uniform bytes almost never reach.
+    #[test]
+    fn upload_peek_agrees_with_decode(
+        mut bytes in prop::collection::vec(any::<u8>(), 0..200),
+        as_upload: bool,
+        fit_len: bool,
+        slack in 0usize..3,
+    ) {
+        if as_upload && !bytes.is_empty() {
+            bytes[0] = MessageBody::DRIVER_UPLOAD_TYPE;
+        }
+        if fit_len && bytes.len() >= 9 {
+            let len = (bytes.len() - 9 + slack).wrapping_sub(1) as u16;
+            bytes[7..9].copy_from_slice(&len.to_be_bytes());
+        }
+        let peeked = Message::peek_upload(&bytes).map(|(p, image)| (p, image.to_vec()));
+        let decoded = Message::decode(&bytes).and_then(|m| match m.body {
+            MessageBody::DriverUpload { peripheral, image } => Some((peripheral, image)),
+            _ => None,
+        });
+        prop_assert_eq!(peeked, decoded);
+    }
+
     /// Scalar-bearing messages roundtrip for arbitrary field values.
     #[test]
     fn scalar_messages_roundtrip(seq: u16, peripheral: u32, v: i32) {
