@@ -26,10 +26,52 @@ pub struct CatalogEntry {
     pub unit: &'static str,
 }
 
-/// The catalog of known peripheral types.
-#[derive(Clone)]
+/// The paper's four prototypes plus the SPI extension.
+static PROTOTYPES: [CatalogEntry; 5] = [
+    CatalogEntry {
+        device_id: prototypes::TMP36,
+        name: "TMP36 temperature sensor",
+        interconnect: Interconnect::Adc,
+        driver_source: upnp_dsl::drivers::TMP36,
+        unit: "degC",
+    },
+    CatalogEntry {
+        device_id: prototypes::HIH4030,
+        name: "HIH-4030 humidity sensor",
+        interconnect: Interconnect::Adc,
+        driver_source: upnp_dsl::drivers::HIH4030,
+        unit: "%RH",
+    },
+    CatalogEntry {
+        device_id: prototypes::ID20LA,
+        name: "ID-20LA RFID reader",
+        interconnect: Interconnect::Uart,
+        driver_source: upnp_dsl::drivers::ID20LA,
+        unit: "card",
+    },
+    CatalogEntry {
+        device_id: prototypes::BMP180,
+        name: "BMP180 pressure sensor",
+        interconnect: Interconnect::I2c,
+        driver_source: upnp_dsl::drivers::BMP180,
+        unit: "Pa",
+    },
+    CatalogEntry {
+        // The second example identifier from the paper's Figure 8
+        // (0x0a0bbf03) serves the SPI extension.
+        device_id: DeviceTypeId::new(0x0a0b_bf03),
+        name: "MAX6675 thermocouple",
+        interconnect: Interconnect::Spi,
+        driver_source: upnp_dsl::drivers::MAX6675,
+        unit: "degC",
+    },
+];
+
+/// The catalog of known peripheral types: a view of an immutable table,
+/// so every Thing's copy shares the one table instead of cloning it.
+#[derive(Clone, Copy)]
 pub struct Catalog {
-    entries: Vec<CatalogEntry>,
+    entries: &'static [CatalogEntry],
 }
 
 impl Default for Catalog {
@@ -43,45 +85,7 @@ impl Catalog {
     /// extension.
     pub fn with_prototypes() -> Self {
         Catalog {
-            entries: vec![
-                CatalogEntry {
-                    device_id: prototypes::TMP36,
-                    name: "TMP36 temperature sensor",
-                    interconnect: Interconnect::Adc,
-                    driver_source: upnp_dsl::drivers::TMP36,
-                    unit: "degC",
-                },
-                CatalogEntry {
-                    device_id: prototypes::HIH4030,
-                    name: "HIH-4030 humidity sensor",
-                    interconnect: Interconnect::Adc,
-                    driver_source: upnp_dsl::drivers::HIH4030,
-                    unit: "%RH",
-                },
-                CatalogEntry {
-                    device_id: prototypes::ID20LA,
-                    name: "ID-20LA RFID reader",
-                    interconnect: Interconnect::Uart,
-                    driver_source: upnp_dsl::drivers::ID20LA,
-                    unit: "card",
-                },
-                CatalogEntry {
-                    device_id: prototypes::BMP180,
-                    name: "BMP180 pressure sensor",
-                    interconnect: Interconnect::I2c,
-                    driver_source: upnp_dsl::drivers::BMP180,
-                    unit: "Pa",
-                },
-                CatalogEntry {
-                    // The second example identifier from the paper's
-                    // Figure 8 (0x0a0bbf03) serves the SPI extension.
-                    device_id: DeviceTypeId::new(0x0a0b_bf03),
-                    name: "MAX6675 thermocouple",
-                    interconnect: Interconnect::Spi,
-                    driver_source: upnp_dsl::drivers::MAX6675,
-                    unit: "degC",
-                },
-            ],
+            entries: &PROTOTYPES,
         }
     }
 
@@ -91,8 +95,8 @@ impl Catalog {
     }
 
     /// All entries.
-    pub fn entries(&self) -> &[CatalogEntry] {
-        &self.entries
+    pub fn entries(&self) -> &'static [CatalogEntry] {
+        self.entries
     }
 
     /// Attaches the simulated peripheral model for `device_id` to the

@@ -810,7 +810,7 @@ impl<W: SimWorld> Fleet<W> {
                         continue;
                     }
                     let thing = self.world.thing(self.things[i]);
-                    if !thing.served_peripherals().contains(&device.raw()) {
+                    if !thing.serves(device.raw()) {
                         unserved += 1;
                     }
                 }
@@ -836,7 +836,7 @@ impl<W: SimWorld> Fleet<W> {
                     continue;
                 };
                 let thing = self.world.thing(self.things[i]);
-                if thing.served_peripherals().contains(&device.raw()) {
+                if thing.serves(device.raw()) {
                     continue;
                 }
                 // The trace id of the plug the fault knocked out — the
@@ -844,7 +844,7 @@ impl<W: SimWorld> Fleet<W> {
                 // belongs to this trace (or to its repair-wave replug).
                 let trace_before = thing
                     .timelines
-                    .get(&device.raw())
+                    .get(device.raw())
                     .map_or(0, |tl| tl.trace_id);
                 let orphaned = !interior_cut.is_empty() && {
                     let mut node = self.world.thing_node(self.things[i]);
@@ -945,7 +945,7 @@ impl<W: SimWorld> Fleet<W> {
                         continue;
                     };
                     let thing = self.world.thing(self.things[i]);
-                    if thing.served_peripherals().contains(&device.raw()) {
+                    if thing.serves(device.raw()) {
                         continue;
                     }
                     let at = heal_at + self.config.stagger.saturating_mul(lane);
@@ -998,7 +998,7 @@ impl<W: SimWorld> Fleet<W> {
                     continue;
                 };
                 let thing = self.world.thing(self.things[i]);
-                let Some(tl) = thing.timelines.get(&device.raw()) else {
+                let Some(tl) = thing.timelines.get(device.raw()) else {
                     continue;
                 };
                 let Some(finished) = tl.finished else {

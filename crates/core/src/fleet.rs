@@ -480,10 +480,10 @@ impl<W: SimWorld> Fleet<W> {
         for (i, &t) in self.things.iter().enumerate() {
             let device = self.assigned_device(i);
             let thing = self.world.thing(t);
-            if thing.served_peripherals().contains(&device.raw()) {
+            if thing.serves(device.raw()) {
                 completed += 1;
             }
-            if let Some(total) = thing.timelines.get(&device.raw()).and_then(|tl| tl.total()) {
+            if let Some(total) = thing.timelines.get(device.raw()).and_then(|tl| tl.total()) {
                 latencies.push(total);
             }
         }
@@ -519,7 +519,7 @@ impl<W: SimWorld> Fleet<W> {
         // finish stamp).
         for (i, &t) in self.things.iter().enumerate() {
             let device = self.assigned_device(i);
-            if let Some(tl) = self.world.thing(t).timelines.get(&device.raw()) {
+            if let Some(tl) = self.world.thing(t).timelines.get(device.raw()) {
                 if tl.finished.is_some_and(|f| f >= base) {
                     if let Some(total) = tl.total() {
                         latencies.push(total);
@@ -536,8 +536,7 @@ impl<W: SimWorld> Fleet<W> {
                 let served = self
                     .world
                     .thing(self.things[i])
-                    .served_peripherals()
-                    .contains(&self.assigned_device(i).raw());
+                    .serves(self.assigned_device(i).raw());
                 served != self.occupancy[i].is_some()
             })
             .count();
@@ -661,15 +660,9 @@ impl<W: SimWorld> Fleet<W> {
             for p in served {
                 h.write_u64(p as u64);
             }
-            let mut timelines: Vec<(u32, u64)> = thing
-                .timelines
-                .iter()
-                .map(|(p, tl)| (*p, tl.finished.map_or(u64::MAX, |t| t.as_nanos())))
-                .collect();
-            timelines.sort_unstable();
-            for (p, finished) in timelines {
+            for (p, tl) in thing.timelines.iter() {
                 h.write_u64(p as u64);
-                h.write_u64(finished);
+                h.write_u64(tl.finished.map_or(u64::MAX, |t| t.as_nanos()));
             }
             h.write_u64(self.world.radio_energy_j(thing.node).to_bits());
         }
@@ -691,7 +684,7 @@ impl<W: SimWorld> Fleet<W> {
             wall: Instant::now(),
             virtual_start: self.world.now(),
             stats: self.world.net_stats(),
-            payload: upnp_net::msg::payload_stats_process(),
+            payload: upnp_net::msg::payload_stats(),
             joules: self.total_thing_joules(),
             distro: self.world.distro_stats(),
         }
@@ -707,7 +700,7 @@ impl<W: SimWorld> Fleet<W> {
     ) -> ScenarioMetrics {
         let wall_ms = probe.wall.elapsed().as_secs_f64() * 1e3;
         let stats = self.world.net_stats();
-        let payload = upnp_net::msg::payload_stats_process();
+        let payload = upnp_net::msg::payload_stats();
         let joules = self.total_thing_joules() - probe.joules;
         let distro = self.world.distro_stats();
         ScenarioMetrics {
@@ -935,6 +928,23 @@ mod tests {
             fleet.world.thing(t).served_peripherals().is_empty(),
             "a cancelled plug must not leave a driver serving an absent peripheral"
         );
+    }
+
+    #[test]
+    fn payload_counts_ignore_threads_outside_the_scenario() {
+        // A thread that is not the scenario's (a concurrently running
+        // test, say) makes payloads and exits inside the probe window:
+        // its counts must not land in the scenario's.
+        let fleet = Fleet::build(FleetConfig::new(2));
+        let mut probe = fleet.start_scenario();
+        std::thread::spawn(|| {
+            let p = upnp_net::msg::Payload::new(vec![1, 2, 3]);
+            drop(p.clone());
+        })
+        .join()
+        .expect("bystander thread");
+        let m = fleet.finish_scenario(&mut probe, "idle", 0, 0, Vec::new());
+        assert_eq!((m.payload_allocs, m.payload_clones), (0, 0));
     }
 
     #[test]

@@ -27,6 +27,7 @@ pub use upnp_distro as distro;
 pub mod catalog;
 pub mod chaos;
 pub mod client;
+pub mod device_map;
 pub mod fleet;
 pub mod manager;
 pub mod registry;
@@ -37,6 +38,7 @@ pub mod world;
 pub use catalog::{Catalog, CatalogEntry};
 pub use chaos::{ChaosConfig, SoakReport};
 pub use client::Client;
+pub use device_map::DeviceMap;
 pub use fleet::{Fleet, FleetConfig, FleetTopology, LatencyStats, ScenarioMetrics, ShardedFleet};
 pub use manager::Manager;
 pub use registry::{AddressSpace, AllocationError, RegistryEntry};

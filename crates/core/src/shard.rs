@@ -493,16 +493,22 @@ impl ShardedWorld {
             return;
         }
         std::thread::scope(|scope| {
-            for w in shards.iter_mut() {
-                scope.spawn(move || {
-                    match until {
-                        None => w.run_until_idle(),
-                        Some(deadline) => w.run_until(deadline),
-                    }
-                    // Must be the closure's last act: the scope waits for
-                    // closures, not for TLS destructors.
-                    upnp_net::msg::flush_payload_stats();
-                });
+            let workers: Vec<_> = shards
+                .iter_mut()
+                .map(|w| {
+                    scope.spawn(move || {
+                        match until {
+                            None => w.run_until_idle(),
+                            Some(deadline) => w.run_until(deadline),
+                        }
+                        upnp_net::msg::take_payload_stats()
+                    })
+                })
+                .collect();
+            // The coordinator's counters carry every shard's work, as the
+            // sequential world's carry its own.
+            for worker in workers {
+                upnp_net::msg::absorb_payload_stats(worker.join().expect("shard worker thread"));
             }
         });
     }

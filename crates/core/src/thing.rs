@@ -14,6 +14,7 @@
 
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
+use std::sync::Arc;
 
 use upnp_dsl::image::DriverImage;
 use upnp_hw::board::ControlBoard;
@@ -30,6 +31,7 @@ use upnp_vm::runtime::{OpToken, PendingKind, Runtime};
 use upnp_vm::vm::ReturnValue;
 
 use crate::catalog::Catalog;
+use crate::device_map::DeviceMap;
 
 /// Whether a driver's scalar return is float- or integer-valued (carried
 /// here rather than in the image format; a production registry would ship
@@ -140,19 +142,20 @@ pub struct Thing {
     catalog: Catalog,
     prefix: u64,
     seq: SeqNo,
-    /// Locally cached driver images by device id.
-    driver_cache: HashMap<u32, DriverImage>,
+    /// Locally cached driver images by device id, shared with the
+    /// drivers installed from them.
+    driver_cache: DeviceMap<Arc<DriverImage>>,
     /// Peripherals waiting for a driver upload: device id → channels
     /// awaiting it, in plug order (one device type may be plugged on
     /// several channels at once).
-    awaiting_driver: HashMap<u32, Vec<ChannelId>>,
+    awaiting_driver: DeviceMap<Vec<ChannelId>>,
     /// In-flight remote operations: token → (reply seq, requester,
     /// peripheral, stream?).
     pending_ops: HashMap<OpToken, (SeqNo, Ipv6Addr, u32, bool)>,
     /// Active streams by peripheral id.
-    streams: HashMap<u32, StreamState>,
+    streams: DeviceMap<StreamState>,
     /// Plug pipeline instrumentation by device id.
-    pub timelines: HashMap<u32, PlugTimeline>,
+    pub timelines: DeviceMap<PlugTimeline>,
     /// Ambient temperature used for identification scans.
     pub scan_temp_c: f64,
     /// Samples per stream before `Closed` (configurable).
@@ -190,11 +193,11 @@ impl Thing {
             catalog,
             prefix,
             seq: 0,
-            driver_cache: HashMap::new(),
-            awaiting_driver: HashMap::new(),
+            driver_cache: DeviceMap::new(),
+            awaiting_driver: DeviceMap::new(),
             pending_ops: HashMap::new(),
-            streams: HashMap::new(),
-            timelines: HashMap::new(),
+            streams: DeviceMap::new(),
+            timelines: DeviceMap::new(),
             scan_temp_c: 25.0,
             stream_samples: 5,
             location: None,
@@ -232,6 +235,12 @@ impl Thing {
             .collect()
     }
 
+    /// True if an installed driver serves `device_id` (without building
+    /// the [`Thing::served_peripherals`] list).
+    pub fn serves(&self, device_id: u32) -> bool {
+        self.runtime.manager.slot_for_device(device_id).is_some()
+    }
+
     /// Services the board interrupt at world time `now`: runs the scan and
     /// reacts to every change.
     pub fn service_interrupt(&mut self, now: SimTime, mgr_anycast: Ipv6Addr) -> Vec<Outbound> {
@@ -248,16 +257,15 @@ impl Thing {
         for change in changes {
             match change {
                 PeripheralChange::Connected { channel, device_id } => {
-                    let tl = self.timelines.entry(device_id.raw()).or_default();
+                    let tl = self.timelines.get_or_default(device_id.raw());
                     tl.scan_started = Some(scan_start);
                     tl.scan = Some(outcome.duration());
-                    if let Some(image) = self.driver_cache.get(&device_id.raw()).cloned() {
+                    if let Some(image) = self.driver_cache.get(device_id.raw()).cloned() {
                         out.extend(self.activate_driver(channel, device_id, image));
                     } else {
                         out.extend(self.request_driver(device_id, mgr_anycast));
                         self.awaiting_driver
-                            .entry(device_id.raw())
-                            .or_default()
+                            .get_or_default(device_id.raw())
                             .push(channel);
                     }
                 }
@@ -276,7 +284,7 @@ impl Thing {
     fn request_driver(&mut self, device_id: DeviceTypeId, mgr: Ipv6Addr) -> Vec<Outbound> {
         // The request-driver leg starts when the Thing decides to ask, so
         // its own send path counts into the measured row.
-        if let Some(tl) = self.timelines.get_mut(&device_id.raw()) {
+        if let Some(tl) = self.timelines.get_mut(device_id.raw()) {
             tl.request_sent = Some(self.runtime.now());
         }
         self.runtime.charge(calib::UDP_SEND_PATH);
@@ -298,7 +306,7 @@ impl Thing {
         &mut self,
         channel: ChannelId,
         device_id: DeviceTypeId,
-        image: DriverImage,
+        image: Arc<DriverImage>,
     ) -> Vec<Outbound> {
         let mut out = Vec::new();
         // Install cost scales with the image size (flash write).
@@ -310,7 +318,7 @@ impl Thing {
         };
         self.catalog.attach(&mut self.runtime, slot, device_id);
         self.runtime.run_until_idle(); // the driver's init handler
-        if let Some(tl) = self.timelines.get_mut(&device_id.raw()) {
+        if let Some(tl) = self.timelines.get_mut(device_id.raw()) {
             tl.installed = Some(self.runtime.now());
         }
 
@@ -340,7 +348,7 @@ impl Thing {
         )));
         let t3 = self.runtime.now();
 
-        if let Some(tl) = self.timelines.get_mut(&device_id.raw()) {
+        if let Some(tl) = self.timelines.get_mut(device_id.raw()) {
             tl.generate_addr = Some(t1.since(t0));
             tl.join_group = Some(t2.since(t1));
             tl.advertise = Some(t3.since(t2));
@@ -356,10 +364,10 @@ impl Thing {
         // peripheral that is no longer present (it is cached for the
         // next plug instead). Other channels carrying the same device
         // type keep their pending requests.
-        if let Some(waiting) = self.awaiting_driver.get_mut(&device_id.raw()) {
+        if let Some(waiting) = self.awaiting_driver.get_mut(device_id.raw()) {
             waiting.retain(|&c| c != channel);
             if waiting.is_empty() {
-                self.awaiting_driver.remove(&device_id.raw());
+                self.awaiting_driver.remove(device_id.raw());
             }
         }
         if let Some(slot) = self.runtime.manager.slot_for_channel(channel.0) {
@@ -368,7 +376,7 @@ impl Thing {
         }
         let group = addr::peripheral_group(self.prefix, device_id.raw());
         out.push(Outbound::LeaveGroup(group));
-        if let Some(stream) = self.streams.remove(&device_id.raw()) {
+        if let Some(stream) = self.streams.remove(device_id.raw()) {
             let seq = self.next_seq();
             out.push(Outbound::Send(self.datagram(
                 stream.group,
@@ -461,7 +469,7 @@ impl Thing {
         self.runtime.charge(calib::UDP_RECV_PATH);
         match msg.body {
             MessageBody::DriverUpload { peripheral, image } => {
-                if let Some(tl) = self.timelines.get_mut(&peripheral) {
+                if let Some(tl) = self.timelines.get_mut(peripheral) {
                     tl.upload_received = Some(at);
                 }
                 let Ok(parsed) = DriverImage::from_bytes(&image) else {
@@ -472,8 +480,11 @@ impl Thing {
                 if upnp_dsl::verify(&parsed).is_err() {
                     return Vec::new();
                 }
-                self.driver_cache.insert(peripheral, parsed.clone());
-                match self.awaiting_driver.remove(&peripheral) {
+                // One decoded image serves the cache and every driver
+                // installed from it.
+                let parsed = Arc::new(parsed);
+                self.driver_cache.insert(peripheral, Arc::clone(&parsed));
+                match self.awaiting_driver.remove(peripheral) {
                     Some(channels) => {
                         // One upload serves every channel still waiting
                         // for this device type (usually exactly one).
@@ -482,7 +493,7 @@ impl Thing {
                             out.extend(self.activate_driver(
                                 channel,
                                 DeviceTypeId::new(peripheral),
-                                parsed.clone(),
+                                Arc::clone(&parsed),
                             ));
                         }
                         out
@@ -615,7 +626,7 @@ impl Thing {
                                 DeviceTypeId::new(peripheral),
                             );
                         }
-                        self.driver_cache.remove(&peripheral);
+                        self.driver_cache.remove(peripheral);
                         true
                     }
                     None => false,
@@ -698,7 +709,7 @@ impl Thing {
             };
             let dst = if stream {
                 self.streams
-                    .get(&peripheral)
+                    .get(peripheral)
                     .map(|s| s.group)
                     .unwrap_or(requester)
             } else {
@@ -715,12 +726,12 @@ impl Thing {
         if self.runtime.now() < now {
             self.runtime.advance_to(now);
         }
-        let Some(state) = self.streams.get_mut(&peripheral) else {
+        let Some(state) = self.streams.get_mut(peripheral) else {
             return vec![Outbound::StopStream { peripheral }];
         };
         if state.remaining == 0 {
             let group = state.group;
-            self.streams.remove(&peripheral);
+            self.streams.remove(peripheral);
             self.runtime.charge(calib::UDP_SEND_PATH);
             let seq = self.next_seq();
             return vec![
@@ -748,7 +759,7 @@ impl Thing {
 
     /// True while a stream is active for `peripheral`.
     pub fn is_streaming(&self, peripheral: u32) -> bool {
-        self.streams.contains_key(&peripheral)
+        self.streams.contains(peripheral)
     }
 
     /// The MCU dies mid-operation. Bumps the flash install generation so
@@ -798,8 +809,7 @@ impl Thing {
                 recovery.rejected += 1;
             }
         }
-        let mut pending: Vec<u32> = self.awaiting_driver.keys().copied().collect();
-        pending.sort_unstable();
+        let pending: Vec<u32> = self.awaiting_driver.iter().map(|(id, _)| id).collect();
         let mut out = Vec::new();
         for peripheral in pending {
             recovery.refetches += 1;
@@ -838,5 +848,40 @@ impl std::fmt::Debug for Thing {
             .field("address", &self.address)
             .field("drivers", &self.served_peripherals())
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use upnp_hw::id::prototypes;
+
+    use crate::world::{World, WorldConfig};
+
+    #[test]
+    fn reinstall_from_the_driver_cache_shares_the_cached_image() {
+        let mut w = World::new(WorldConfig::default());
+        w.add_manager();
+        let t = w.add_thing();
+        w.star_topology();
+        let id = prototypes::TMP36.raw();
+        w.plug_and_wait(t, 0, prototypes::TMP36);
+        // The upload's one decoded image: held by the cache and the driver.
+        let cached = Arc::clone(w.thing(t).driver_cache.get(id).expect("cached"));
+        assert_eq!(Arc::strong_count(&cached), 3);
+
+        w.unplug(t, 0);
+        w.run_until_idle();
+        assert!(!w.thing(t).serves(id));
+        assert_eq!(Arc::strong_count(&cached), 2, "the removed driver let go");
+
+        w.plug_and_wait(t, 0, prototypes::TMP36);
+        assert_eq!(w.manager().uploads_served, 1, "served from the cache");
+        let rt = &w.thing(t).runtime;
+        let slot = rt.manager.slot_for_device(id).expect("reinstalled");
+        let running = rt.manager.get(slot).expect("slot").instance.image();
+        assert!(std::ptr::eq(running, &*cached), "shared, not copied");
+        assert_eq!(Arc::strong_count(&cached), 3);
     }
 }

@@ -380,7 +380,7 @@ impl World {
             address,
             self.config.prefix,
             board,
-            self.catalog.clone(),
+            self.catalog,
             self.runtime_template.instantiate(seed),
         );
         let mut thing = thing;
@@ -857,8 +857,7 @@ impl World {
         );
         self.things[thing.0]
             .timelines
-            .entry(device_id.raw())
-            .or_default()
+            .get_or_default(device_id.raw())
             .trace_id = trace.0;
         if self.trace.enabled {
             let now_ns = self.now.as_nanos();
@@ -1145,7 +1144,7 @@ impl World {
     fn stitch_upload_sent(&mut self, dgram: &Datagram, ready_at: SimTime) {
         if let Some((peripheral, _)) = upnp_net::msg::Message::peek_upload(&dgram.payload) {
             if let Some(&i) = self.thing_by_addr.get(&dgram.dst) {
-                if let Some(tl) = self.things[i].timelines.get_mut(&peripheral) {
+                if let Some(tl) = self.things[i].timelines.get_mut(peripheral) {
                     tl.upload_sent = Some(ready_at);
                 }
             }
@@ -1288,14 +1287,14 @@ impl World {
     /// fleet-wide (a flash crowd holds every plug active at once).
     fn record_scan_spans(&mut self, thing: usize) {
         let node = self.things[thing].node.0 as u64;
-        let mut scanned: Vec<(u32, SimTime, SimDuration, Option<SimTime>)> = self.things[thing]
+        // Timelines iterate in ascending peripheral order.
+        let scanned: Vec<(u32, SimTime, SimDuration, Option<SimTime>)> = self.things[thing]
             .timelines
             .iter()
-            .filter_map(|(&peripheral, tl)| {
+            .filter_map(|(peripheral, tl)| {
                 Some((peripheral, tl.scan_started?, tl.scan?, tl.finished))
             })
             .collect();
-        scanned.sort_unstable_by_key(|&(peripheral, ..)| peripheral);
         for (peripheral, started, scan, finished) in scanned {
             let key = (thing, peripheral);
             let Some(&pt) = self.active_traces.get(&key) else {
@@ -1464,7 +1463,7 @@ impl World {
             return;
         };
         let node = self.things[thing].node.0 as u64;
-        let Some(tl) = self.things[thing].timelines.get(&peripheral) else {
+        let Some(tl) = self.things[thing].timelines.get(peripheral) else {
             return;
         };
         if tl.upload_received != Some(at) {
@@ -1490,7 +1489,7 @@ impl World {
         install_start: SimTime,
     ) {
         let node = self.things[thing].node.0 as u64;
-        let Some(tl) = self.things[thing].timelines.get(&peripheral) else {
+        let Some(tl) = self.things[thing].timelines.get(peripheral) else {
             return;
         };
         let (Some(installed), Some(finished)) = (tl.installed, tl.finished) else {
@@ -1564,7 +1563,7 @@ impl World {
         self.run_until_idle();
         self.things[thing.0]
             .timelines
-            .get(&device_id.raw())
+            .get(device_id.raw())
             .cloned()
             .unwrap_or_default()
     }

@@ -9,7 +9,6 @@
 //! speak them).
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use upnp_trace::TraceCtx;
@@ -24,21 +23,17 @@ pub type SeqNo = u16;
 /// radio frame costs one chunk retry — never the whole image.
 pub const DRIVER_CHUNK_PAYLOAD: usize = 64;
 
-/// Per-thread payload counters, flushed into the process-wide totals
-/// exactly once, when the thread exits. The data-plane hot path (every
-/// payload allocation and every multicast fan-out share) therefore does
-/// plain `Cell` arithmetic — no shared-cache-line atomics inside the
-/// loops the wall-clock gates measure.
+/// Per-thread payload counters. The data-plane hot path (every payload
+/// allocation and every multicast fan-out share) does plain `Cell`
+/// arithmetic — no shared-cache-line atomics inside the loops the
+/// wall-clock gates measure. There is deliberately no process-wide total:
+/// a worker thread hands its counts to the thread that joins it
+/// ([`take_payload_stats`], [`absorb_payload_stats`]), so a measurement
+/// window sees its own work and never the late exit of an unrelated
+/// thread.
 struct LocalPayloadCounters {
     allocs: Cell<u64>,
     clones: Cell<u64>,
-}
-
-impl Drop for LocalPayloadCounters {
-    fn drop(&mut self) {
-        PAYLOAD_ALLOCS_TOTAL.fetch_add(self.allocs.get(), Ordering::Relaxed);
-        PAYLOAD_CLONES_TOTAL.fetch_add(self.clones.get(), Ordering::Relaxed);
-    }
 }
 
 thread_local! {
@@ -50,13 +45,6 @@ thread_local! {
     };
 }
 
-// Flushed counters of threads that have exited. A sharded world's worker
-// threads are scoped: they exit (and flush) before the coordinator reads
-// the process totals, so [`payload_stats_process`] — globals plus the
-// *calling* thread's live counters — sees every operation exactly once.
-static PAYLOAD_ALLOCS_TOTAL: AtomicU64 = AtomicU64::new(0);
-static PAYLOAD_CLONES_TOTAL: AtomicU64 = AtomicU64::new(0);
-
 /// Cumulative [`Payload`] accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PayloadStats {
@@ -66,9 +54,9 @@ pub struct PayloadStats {
     pub clones: u64,
 }
 
-/// Returns the *current thread's* cumulative payload counters. Unit tests
-/// take deltas around an operation to prove exact allocation behaviour
-/// without interference from concurrently running tests.
+/// Returns the *current thread's* cumulative payload counters, including
+/// the counts it absorbed from worker threads it joined. Callers take
+/// deltas around an operation.
 pub fn payload_stats() -> PayloadStats {
     PAYLOAD_LOCAL.with(|l| PayloadStats {
         allocs: l.allocs.get(),
@@ -76,32 +64,24 @@ pub fn payload_stats() -> PayloadStats {
     })
 }
 
-/// Flushes the calling thread's payload counters into the process-wide
-/// totals and zeroes them. Worker threads that end inside a
-/// `std::thread::scope` must call this as the last statement of their
-/// closure: the scope only waits for the *closure* to finish, so the
-/// TLS-destructor flush can still be in flight when the scope returns —
-/// an intermittently lost count. After a flush, [`payload_stats`] on
-/// this thread restarts from zero; [`payload_stats_process`] remains
-/// exact.
-pub fn flush_payload_stats() {
-    PAYLOAD_LOCAL.with(|l| {
-        PAYLOAD_ALLOCS_TOTAL.fetch_add(l.allocs.replace(0), Ordering::Relaxed);
-        PAYLOAD_CLONES_TOTAL.fetch_add(l.clones.replace(0), Ordering::Relaxed);
-    });
+/// Returns the calling thread's payload counters and zeroes them. A
+/// scoped worker thread returns this as its closure's result, so the
+/// joining thread can [`absorb_payload_stats`] it.
+pub fn take_payload_stats() -> PayloadStats {
+    PAYLOAD_LOCAL.with(|l| PayloadStats {
+        allocs: l.allocs.replace(0),
+        clones: l.clones.replace(0),
+    })
 }
 
-/// Returns the *process-wide* cumulative payload counters: every exited
-/// thread's flushed totals plus the calling thread's live counters. The
-/// fleet scenario probes call this from the coordinator after its scoped
-/// worker threads have been joined (and therefore flushed), so a sharded
-/// world's threads are accounted the same way as a sequential run.
-pub fn payload_stats_process() -> PayloadStats {
-    let local = payload_stats();
-    PayloadStats {
-        allocs: PAYLOAD_ALLOCS_TOTAL.load(Ordering::Relaxed) + local.allocs,
-        clones: PAYLOAD_CLONES_TOTAL.load(Ordering::Relaxed) + local.clones,
-    }
+/// Adds a joined worker thread's counts (from [`take_payload_stats`]) to
+/// the calling thread's counters, so a sharded run counts the same as a
+/// sequential one.
+pub fn absorb_payload_stats(worker: PayloadStats) {
+    PAYLOAD_LOCAL.with(|l| {
+        l.allocs.set(l.allocs.get() + worker.allocs);
+        l.clones.set(l.clones.get() + worker.clones);
+    });
 }
 
 /// An immutable UDP payload backed by `Arc<[u8]>`.
@@ -110,9 +90,8 @@ pub fn payload_stats_process() -> PayloadStats {
 /// fan-out to *m* receivers therefore allocates the payload once when the
 /// message is encoded, not *m* times at delivery scheduling. `Arc` (not
 /// `Rc`) so datagrams can cross shard-thread boundaries. The type keeps
-/// per-thread and process-wide counters ([`payload_stats`],
-/// [`payload_stats_process`]) so the zero-copy property is benchmarkable
-/// and CI-gateable.
+/// per-thread counters ([`payload_stats`]) so the zero-copy property is
+/// benchmarkable and CI-gateable.
 ///
 /// Every payload also carries a [`TraceCtx`] — two machine words naming
 /// the distributed-tracing request (and causing span) the frame belongs
@@ -936,19 +915,27 @@ mod tests {
     }
 
     #[test]
-    fn process_stats_cover_other_threads() {
-        let before = payload_stats_process();
-        std::thread::spawn(|| {
+    fn worker_counts_hand_over_to_the_joining_thread() {
+        let before = payload_stats();
+        let worker = std::thread::spawn(|| {
             let p = Payload::new(vec![9, 9]);
             let _q = p.clone();
+            take_payload_stats()
         })
         .join()
         .expect("worker thread");
-        let after = payload_stats_process();
-        // Concurrent tests may also allocate, so assert growth, not
-        // equality — the thread-local counters carry the exact checks.
-        assert!(after.allocs > before.allocs);
-        assert!(after.clones > before.clones);
+        assert_eq!(
+            worker,
+            PayloadStats {
+                allocs: 1,
+                clones: 1
+            }
+        );
+        assert_eq!(payload_stats(), before, "nothing lands until absorbed");
+        absorb_payload_stats(worker);
+        let after = payload_stats();
+        assert_eq!(after.allocs - before.allocs, 1);
+        assert_eq!(after.clones - before.clones, 1);
     }
 
     #[test]

@@ -3,7 +3,11 @@
 //! "The driver manager interfaces with the peripheral controller and keeps
 //! track of the peripherals and drivers that are available" and "provides
 //! operations that enable remote deployment and removal of device
-//! drivers". Slots are fixed-capacity, as on the embedded target.
+//! drivers". At most [`MAX_SLOTS`] drivers fit, as on the embedded
+//! target, but the slot table grows on install: a Thing serving one
+//! peripheral holds one slot, not [`MAX_SLOTS`] empty ones.
+
+use std::sync::Arc;
 
 use upnp_dsl::image::DriverImage;
 
@@ -50,19 +54,17 @@ impl std::error::Error for InstallError {}
 /// The driver manager.
 #[derive(Debug, Default)]
 pub struct DriverManager {
+    /// Slot `i` at index `i`; a removed driver leaves a `None` hole that
+    /// the next install fills. Never longer than [`MAX_SLOTS`].
     slots: Vec<Option<DriverSlot>>,
     installs: u64,
     removals: u64,
 }
 
 impl DriverManager {
-    /// Creates a manager with [`MAX_SLOTS`] empty slots.
+    /// Creates a manager with no drivers and no slot storage.
     pub fn new() -> Self {
-        DriverManager {
-            slots: (0..MAX_SLOTS).map(|_| None).collect(),
-            installs: 0,
-            removals: 0,
-        }
+        DriverManager::default()
     }
 
     /// Installs a driver image for the peripheral on `channel`.
@@ -70,19 +72,31 @@ impl DriverManager {
     /// # Errors
     ///
     /// [`InstallError::ChannelBusy`] if the channel already has a driver;
-    /// [`InstallError::NoFreeSlot`] if all slots are taken.
-    pub fn install(&mut self, image: DriverImage, channel: u8) -> Result<SlotId, InstallError> {
+    /// [`InstallError::NoFreeSlot`] if all [`MAX_SLOTS`] slots are taken.
+    pub fn install(
+        &mut self,
+        image: impl Into<Arc<DriverImage>>,
+        channel: u8,
+    ) -> Result<SlotId, InstallError> {
         if self.slot_for_channel(channel).is_some() {
             return Err(InstallError::ChannelBusy);
         }
-        let free = self
-            .slots
-            .iter()
-            .position(|s| s.is_none())
-            .ok_or(InstallError::NoFreeSlot)?;
-        let device_id = image.device_id;
+        // The lowest free slot: a hole left by a removal, else a new slot
+        // at the end of the table.
+        let free = match self.slots.iter().position(Option::is_none) {
+            Some(hole) => hole,
+            None if self.slots.len() < MAX_SLOTS => {
+                // One slot at a time: `push` alone would reserve four.
+                self.slots.reserve_exact(1);
+                self.slots.push(None);
+                self.slots.len() - 1
+            }
+            None => return Err(InstallError::NoFreeSlot),
+        };
+        let instance = DriverInstance::new(image);
+        let device_id = instance.image().device_id;
         self.slots[free] = Some(DriverSlot {
-            instance: DriverInstance::new(image),
+            instance,
             device_id,
             channel,
         });
@@ -183,12 +197,59 @@ mod tests {
     fn slots_exhaust() {
         let mut m = DriverManager::new();
         for ch in 0..MAX_SLOTS as u8 {
-            m.install(image(ch as u32 + 1), ch).unwrap();
+            assert_eq!(m.install(image(ch as u32 + 1), ch), Ok(ch));
         }
+        assert_eq!(
+            m.slots.len(),
+            MAX_SLOTS,
+            "the table never outgrows MAX_SLOTS"
+        );
         assert_eq!(
             m.install(image(99), 100).unwrap_err(),
             InstallError::NoFreeSlot
         );
+        // A removal frees exactly one slot again.
+        m.remove(5);
+        assert_eq!(m.install(image(99), 100), Ok(5));
+        assert_eq!(
+            m.install(image(100), 101).unwrap_err(),
+            InstallError::NoFreeSlot
+        );
+    }
+
+    #[test]
+    fn fresh_manager_owns_no_slot_storage() {
+        let mut m = DriverManager::new();
+        assert_eq!(m.slots.capacity(), 0);
+        assert_eq!(m.installed(), 0);
+        m.install(image(1), 0).unwrap();
+        assert_eq!(m.slots.capacity(), 1, "one driver, one slot");
+    }
+
+    #[test]
+    fn lowest_free_slot_is_reused_after_remove() {
+        let mut m = DriverManager::new();
+        for ch in 0..3 {
+            m.install(image(ch as u32 + 1), ch).unwrap();
+        }
+        m.remove(1);
+        m.remove(0);
+        assert_eq!(m.install(image(10), 10), Ok(0));
+        assert_eq!(m.install(image(11), 11), Ok(1));
+        assert_eq!(m.install(image(12), 12), Ok(3), "holes filled, then grow");
+        let slots: Vec<SlotId> = m.iter().map(|(s, _)| s).collect();
+        assert_eq!(slots, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn install_shares_an_arc_image() {
+        let shared = Arc::new(image(4));
+        let mut m = DriverManager::new();
+        let s = m.install(Arc::clone(&shared), 0).unwrap();
+        assert!(std::ptr::eq(m.get(s).unwrap().instance.image(), &*shared));
+        assert_eq!(Arc::strong_count(&shared), 2);
+        m.remove(s);
+        assert_eq!(Arc::strong_count(&shared), 1);
     }
 
     #[test]

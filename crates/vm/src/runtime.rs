@@ -8,6 +8,8 @@
 //! queue only when the router drains — then time jumps to the next
 //! completion.
 
+use std::sync::Arc;
+
 use upnp_dsl::events::{errors, ids, libs};
 use upnp_dsl::image::DriverImage;
 use upnp_sim::{AvrCostModel, CpuCost, EnergyMeter, Scheduler, SimDuration, SimTime};
@@ -172,7 +174,7 @@ impl Runtime {
     /// See [`DriverManager::install`].
     pub fn install_driver(
         &mut self,
-        image: DriverImage,
+        image: impl Into<Arc<DriverImage>>,
         channel: u8,
     ) -> Result<SlotId, InstallError> {
         let slot = self.manager.install(image, channel)?;

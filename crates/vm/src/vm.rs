@@ -8,6 +8,8 @@
 //! the runtime converts into prioritized error events, exactly the error
 //! model §4.1 describes.
 
+use std::sync::Arc;
+
 use upnp_dsl::ast::Type;
 use upnp_dsl::image::DriverImage;
 use upnp_dsl::isa::Op;
@@ -103,7 +105,7 @@ pub struct HandlerOutcome {
 /// One installed driver's execution state.
 #[derive(Debug, Clone)]
 pub struct DriverInstance {
-    image: DriverImage,
+    image: Arc<DriverImage>,
     scalars: Vec<Cell>,
     scalar_types: Vec<Type>,
     arrays: Vec<Vec<Cell>>,
@@ -112,8 +114,11 @@ pub struct DriverInstance {
 }
 
 impl DriverInstance {
-    /// Instantiates a driver from its image; globals are zeroed.
-    pub fn new(image: DriverImage) -> Self {
+    /// Instantiates a driver from its image; globals are zeroed. The
+    /// image is immutable, so a shared one (say, a Thing's driver cache
+    /// entry) is held by reference count, not copied.
+    pub fn new(image: impl Into<Arc<DriverImage>>) -> Self {
+        let image = image.into();
         let mut scalars = Vec::new();
         let mut scalar_types = Vec::new();
         let mut arrays = Vec::new();
@@ -183,7 +188,10 @@ impl DriverInstance {
         let mut locals: Vec<Cell> = args.to_vec();
         locals.resize(entry.n_params.max(args.len() as u8) as usize, Cell::ZERO);
         let mut stack: Vec<Cell> = Vec::with_capacity(STACK_DEPTH);
-        let code_len = self.image.code.len();
+        // Borrowed once: the image sits behind an `Arc`, and the loop
+        // below writes globals through `self`.
+        let code = self.image.code.as_slice();
+        let code_len = code.len();
 
         macro_rules! fault {
             ($e:expr) => {{
@@ -217,7 +225,7 @@ impl DriverInstance {
                 // always emits a terminator, but stay safe).
                 break;
             }
-            let byte = self.image.code[pc];
+            let byte = code[pc];
             let Some(op) = Op::from_byte(byte) else {
                 fault!(VmError::BadOpcode(byte));
             };
@@ -225,7 +233,7 @@ impl DriverInstance {
             if pc + 1 + n > code_len {
                 fault!(VmError::BadJump);
             }
-            let operands = &self.image.code[pc + 1..pc + 1 + n];
+            let operands = &code[pc + 1..pc + 1 + n];
             let mut next_pc = pc + 1 + n;
             outcome.instructions += 1;
             outcome.cost += self.cost_model.instruction(op);
