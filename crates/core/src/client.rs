@@ -4,23 +4,54 @@
 //! reach it), multicasts (2) discovery messages to peripheral-type groups,
 //! and drives (10) read / (12) stream / (16) write interactions.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::net::Ipv6Addr;
+use std::sync::Arc;
 
 use upnp_net::addr::{self, MCAST_PORT};
-use upnp_net::msg::{AdvertisedPeripheral, Message, MessageBody, SeqNo, Value};
+use upnp_net::msg::{AdvertsView, Message, MessageBody, SeqNo, Value};
+use upnp_net::tlv::{self, Tlv};
 use upnp_net::{Datagram, NodeId};
 use upnp_sim::SimTime;
 
 /// A discovered peripheral: where it lives and what it advertised.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The advertised TLV list is kept in wire form and shared: every record
+/// of one client that heard the same list holds the same `Arc`, so a
+/// client's log costs one small record per advertisement, not a decoded
+/// copy of its tuples. `Debug` and `==` look at the content, never at
+/// which `Arc` holds it.
+#[derive(Clone, PartialEq)]
 pub struct DiscoveredPeripheral {
     /// The Thing hosting the peripheral.
     pub thing: Ipv6Addr,
-    /// The advertisement contents.
-    pub advert: AdvertisedPeripheral,
+    /// The advertised 32-bit device-type identifier.
+    pub peripheral: u32,
     /// True if it arrived solicited (reply to our discovery).
     pub solicited: bool,
+    /// The advertised TLV list (count byte and tuples), as validated on
+    /// receipt.
+    tlvs: Arc<[u8]>,
+}
+
+impl DiscoveredPeripheral {
+    /// The advertised extra-information tuples, decoded on demand.
+    pub fn tlvs(&self) -> Vec<Tlv> {
+        let mut i = 0;
+        // Validated by `Message::peek_adverts` when the record was made.
+        tlv::decode_list(&self.tlvs, &mut i).expect("a TLV list validated on receipt")
+    }
+}
+
+impl std::fmt::Debug for DiscoveredPeripheral {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DiscoveredPeripheral")
+            .field("thing", &self.thing)
+            .field("peripheral", &self.peripheral)
+            .field("solicited", &self.solicited)
+            .field("tlvs", &self.tlvs())
+            .finish()
+    }
 }
 
 /// The µPnP Client.
@@ -46,6 +77,8 @@ pub struct Client {
     pub closed_streams: Vec<u32>,
     /// Write acknowledgements: `(peripheral, ok)`.
     pub write_acks: Vec<(u32, bool)>,
+    /// Every distinct advertised TLV list this client has logged, once.
+    tlv_lists: HashSet<Arc<[u8]>>,
     /// Arrival instants of the observations that carry none, kept only
     /// by the replicas of a sharded world so their logs merge in arrival
     /// order; `None` (and free) everywhere else.
@@ -75,6 +108,7 @@ impl Client {
             stream_groups: HashMap::new(),
             closed_streams: Vec::new(),
             write_acks: Vec::new(),
+            tlv_lists: HashSet::new(),
             arrivals: None,
         }
     }
@@ -163,18 +197,16 @@ impl Client {
     /// Handles a delivery. Returns groups the client should join (e.g. a
     /// stream group from an (13) established message).
     pub fn on_datagram(&mut self, at: SimTime, dgram: &Datagram) -> Vec<Ipv6Addr> {
+        // (1)/(3) advertisements, the bulk of a client's traffic, are
+        // read in place; everything else is decoded.
+        if let Some(ads) = Message::peek_adverts(&dgram.payload) {
+            self.record_adverts(at, dgram.src, ads);
+            return Vec::new();
+        }
         let Some(msg) = Message::decode(&dgram.payload) else {
             return Vec::new();
         };
         match msg.body {
-            MessageBody::UnsolicitedAdvertisement(ads) => {
-                self.record_adverts(at, dgram.src, ads, false);
-                Vec::new()
-            }
-            MessageBody::SolicitedAdvertisement(ads) => {
-                self.record_adverts(at, dgram.src, ads, true);
-                Vec::new()
-            }
             MessageBody::Data { peripheral, value } => {
                 self.readings.push((peripheral, value, at));
                 Vec::new()
@@ -206,22 +238,26 @@ impl Client {
         }
     }
 
-    fn record_adverts(
-        &mut self,
-        at: SimTime,
-        thing: Ipv6Addr,
-        ads: Vec<AdvertisedPeripheral>,
-        solicited: bool,
-    ) {
+    fn record_adverts(&mut self, at: SimTime, thing: Ipv6Addr, ads: AdvertsView<'_>) {
         if let Some(a) = &mut self.arrivals {
             a.discovered.extend(std::iter::repeat_n(at, ads.len()));
         }
-        self.discovered
-            .extend(ads.into_iter().map(|advert| DiscoveredPeripheral {
+        for (peripheral, tlvs) in ads.iter() {
+            let tlvs = match self.tlv_lists.get(tlvs) {
+                Some(shared) => Arc::clone(shared),
+                None => {
+                    let shared: Arc<[u8]> = tlvs.into();
+                    self.tlv_lists.insert(Arc::clone(&shared));
+                    shared
+                }
+            };
+            self.discovered.push(DiscoveredPeripheral {
                 thing,
-                advert,
-                solicited,
-            }));
+                peripheral,
+                solicited: ads.solicited,
+                tlvs,
+            });
+        }
     }
 
     /// Things that advertised a given peripheral type.
@@ -229,7 +265,7 @@ impl Client {
         let mut out: Vec<Ipv6Addr> = self
             .discovered
             .iter()
-            .filter(|d| d.advert.peripheral == peripheral)
+            .filter(|d| d.peripheral == peripheral)
             .map(|d| d.thing)
             .collect();
         out.sort();
@@ -254,5 +290,65 @@ impl std::fmt::Debug for Client {
             .field("discovered", &self.discovered.len())
             .field("readings", &self.readings.len())
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use upnp_net::msg::AdvertisedPeripheral;
+    use upnp_net::tlv::TlvType;
+
+    fn advert(src: Ipv6Addr, body: MessageBody) -> Datagram {
+        Datagram {
+            src,
+            dst: src,
+            src_port: MCAST_PORT,
+            dst_port: MCAST_PORT,
+            payload: Message { seq: 1, body }.encode().into(),
+        }
+    }
+
+    fn tmp36_on(channel: u8) -> AdvertisedPeripheral {
+        AdvertisedPeripheral {
+            peripheral: 0xad1c_be01,
+            tlvs: vec![
+                Tlv::new(TlvType::Channel, vec![channel]),
+                Tlv::text(TlvType::Name, "TMP36"),
+            ],
+        }
+    }
+
+    #[test]
+    fn one_shared_list_per_distinct_advertised_tlv_list() {
+        let mut c = Client::new(NodeId(0), Ipv6Addr::LOCALHOST, 0);
+        for thing in 1..=3u16 {
+            let src = Ipv6Addr::new(0xfd00, 0, 0, 0, 0, 0, 0, thing);
+            let body = MessageBody::UnsolicitedAdvertisement(vec![tmp36_on(0), tmp36_on(1)]);
+            c.on_datagram(SimTime::ZERO, &advert(src, body));
+        }
+        let solicited = MessageBody::SolicitedAdvertisement(vec![tmp36_on(0)]);
+        c.on_datagram(SimTime::ZERO, &advert(Ipv6Addr::LOCALHOST, solicited));
+
+        assert_eq!(c.discovered.len(), 7);
+        assert_eq!(c.tlv_lists.len(), 2, "two distinct lists: channel 0 and 1");
+        let on_channel_0: Vec<&Arc<[u8]>> = c
+            .discovered
+            .iter()
+            .filter(|d| d.tlvs()[0].value == [0])
+            .map(|d| &d.tlvs)
+            .collect();
+        assert_eq!(on_channel_0.len(), 4);
+        assert!(on_channel_0.iter().all(|a| Arc::ptr_eq(a, on_channel_0[0])));
+        // Three records per list plus the interner's own reference.
+        assert_eq!(Arc::strong_count(on_channel_0[0]), 5);
+
+        // Content, not sharing, is what the records show and compare.
+        let last = c.discovered.last().expect("logged");
+        assert!(last.solicited);
+        assert_eq!(last.peripheral, 0xad1c_be01);
+        assert_eq!(last.tlvs(), tmp36_on(0).tlvs);
+        assert_eq!(last.clone(), *last);
+        assert!(format!("{last:?}").contains("ty: Name"));
     }
 }

@@ -29,6 +29,7 @@ pub mod chaos;
 pub mod client;
 pub mod device_map;
 pub mod fleet;
+pub mod image_pool;
 pub mod manager;
 pub mod registry;
 pub mod shard;

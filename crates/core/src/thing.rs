@@ -32,6 +32,7 @@ use upnp_vm::vm::ReturnValue;
 
 use crate::catalog::Catalog;
 use crate::device_map::DeviceMap;
+use crate::image_pool::ImagePool;
 
 /// Whether a driver's scalar return is float- or integer-valued (carried
 /// here rather than in the image format; a production registry would ship
@@ -458,68 +459,29 @@ impl Thing {
         Ipv6Addr::from(o)
     }
 
-    /// Handles a datagram delivered at `at` (world clock).
-    pub fn on_datagram(&mut self, at: SimTime, dgram: &Datagram) -> Vec<Outbound> {
+    /// Handles a datagram delivered at `at` (world clock). A (5) driver
+    /// upload is decoded and verified through the world's `images` pool,
+    /// which hands back the image every other Thing that received the
+    /// same bytes runs.
+    pub fn on_datagram(
+        &mut self,
+        at: SimTime,
+        dgram: &Datagram,
+        images: &mut ImagePool,
+    ) -> Vec<Outbound> {
         if self.runtime.now() < at {
             self.runtime.advance_to(at);
+        }
+        // The upload is read in place from the frame, not copied.
+        if let Some((peripheral, image)) = Message::peek_upload(&dgram.payload) {
+            self.runtime.charge(calib::UDP_RECV_PATH);
+            return self.on_upload(at, peripheral, image, images);
         }
         let Some(msg) = Message::decode(&dgram.payload) else {
             return Vec::new();
         };
         self.runtime.charge(calib::UDP_RECV_PATH);
         match msg.body {
-            MessageBody::DriverUpload { peripheral, image } => {
-                if let Some(tl) = self.timelines.get_mut(peripheral) {
-                    tl.upload_received = Some(at);
-                }
-                let Ok(parsed) = DriverImage::from_bytes(&image) else {
-                    return Vec::new();
-                };
-                // Defence in depth: the Thing re-verifies what the
-                // repository claims to have verified.
-                if upnp_dsl::verify(&parsed).is_err() {
-                    return Vec::new();
-                }
-                // One decoded image serves the cache and every driver
-                // installed from it.
-                let parsed = Arc::new(parsed);
-                self.driver_cache.insert(peripheral, Arc::clone(&parsed));
-                match self.awaiting_driver.remove(peripheral) {
-                    Some(channels) => {
-                        // One upload serves every channel still waiting
-                        // for this device type (usually exactly one).
-                        let mut out = Vec::new();
-                        for channel in channels {
-                            out.extend(self.activate_driver(
-                                channel,
-                                DeviceTypeId::new(peripheral),
-                                Arc::clone(&parsed),
-                            ));
-                        }
-                        out
-                    }
-                    None => {
-                        // An unsolicited upload for a peripheral we are
-                        // already serving is an over-the-air *update*:
-                        // destroy the running driver and activate the new
-                        // version in place (§3.3: "the device drivers
-                        // associated with an address may be updated at any
-                        // time").
-                        if let Some(slot) = self.runtime.manager.slot_for_device(peripheral) {
-                            let channel = self
-                                .runtime
-                                .manager
-                                .get(slot)
-                                .map(|d| ChannelId(d.channel))
-                                .expect("slot exists");
-                            self.runtime.remove_driver(slot);
-                            self.activate_driver(channel, DeviceTypeId::new(peripheral), parsed)
-                        } else {
-                            Vec::new() // pre-staged driver for later
-                        }
-                    }
-                }
-            }
             MessageBody::Discovery(tlvs) => {
                 // A discovery reaches us through a peripheral group we
                 // joined. Location-aware filtering (§9): a discovery
@@ -651,6 +613,59 @@ impl Thing {
                 out
             }
             _ => Vec::new(),
+        }
+    }
+
+    /// A (5) driver upload of `image` for `peripheral`, delivered at `at`.
+    fn on_upload(
+        &mut self,
+        at: SimTime,
+        peripheral: u32,
+        image: &[u8],
+        images: &mut ImagePool,
+    ) -> Vec<Outbound> {
+        if let Some(tl) = self.timelines.get_mut(peripheral) {
+            tl.upload_received = Some(at);
+        }
+        let Some(parsed) = images.admit(image) else {
+            return Vec::new();
+        };
+        // One decoded image serves the cache and every driver installed
+        // from it.
+        self.driver_cache.insert(peripheral, Arc::clone(&parsed));
+        match self.awaiting_driver.remove(peripheral) {
+            Some(channels) => {
+                // One upload serves every channel still waiting for this
+                // device type (usually exactly one).
+                let mut out = Vec::new();
+                for channel in channels {
+                    out.extend(self.activate_driver(
+                        channel,
+                        DeviceTypeId::new(peripheral),
+                        Arc::clone(&parsed),
+                    ));
+                }
+                out
+            }
+            None => {
+                // An unsolicited upload for a peripheral we are already
+                // serving is an over-the-air *update*: destroy the
+                // running driver and activate the new version in place
+                // (§3.3: "the device drivers associated with an address
+                // may be updated at any time").
+                if let Some(slot) = self.runtime.manager.slot_for_device(peripheral) {
+                    let channel = self
+                        .runtime
+                        .manager
+                        .get(slot)
+                        .map(|d| ChannelId(d.channel))
+                        .expect("slot exists");
+                    self.runtime.remove_driver(slot);
+                    self.activate_driver(channel, DeviceTypeId::new(peripheral), parsed)
+                } else {
+                    Vec::new() // pre-staged driver for later
+                }
+            }
         }
     }
 

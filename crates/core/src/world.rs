@@ -23,6 +23,7 @@ use upnp_vm::runtime::RuntimeTemplate;
 
 use crate::catalog::Catalog;
 use crate::client::Client;
+use crate::image_pool::ImagePool;
 use crate::manager::Manager;
 use crate::thing::{Outbound, PlugTimeline, Thing};
 
@@ -184,6 +185,9 @@ pub struct World {
     /// process); driver uploads in flight to it are torn mid-flash.
     dead_things: Vec<bool>,
     catalog: Catalog,
+    /// One decoded driver image per distinct upload, shared by the
+    /// Things that received it.
+    images: ImagePool,
     node_kinds: HashMap<NodeId, NodeKind>,
     thing_by_addr: HashMap<Ipv6Addr, usize>,
     /// Things whose board interrupt may be pending, in raise order.
@@ -244,6 +248,7 @@ impl World {
             cache_crawl: Vec::new(),
             dead_things: Vec::with_capacity(config.expected_nodes),
             catalog: Catalog::with_prototypes(),
+            images: ImagePool::default(),
             node_kinds: HashMap::with_capacity(config.expected_nodes),
             thing_by_addr: HashMap::with_capacity(config.expected_nodes),
             interrupts: VecDeque::new(),
@@ -1052,7 +1057,7 @@ impl World {
                 }
                 Some(NodeKind::Standby) if !self.standby_down => self.manager_reply(true, d),
                 Some(NodeKind::Thing(i)) if !self.dead_things[i] => {
-                    let out = self.things[i].on_datagram(d.at, &d.dgram);
+                    let out = self.things[i].on_datagram(d.at, &d.dgram, &mut self.images);
                     if self.trace.enabled
                         && d.dgram.payload.first()
                             == Some(&upnp_net::msg::MessageBody::DRIVER_UPLOAD_TYPE)
@@ -1632,7 +1637,7 @@ impl World {
         self.run_until_idle();
         let mut out: Vec<Ipv6Addr> = self.clients[client.0].discovered[before..]
             .iter()
-            .filter(|d| d.solicited && d.advert.peripheral == device_id.raw())
+            .filter(|d| d.solicited && d.peripheral == device_id.raw())
             .map(|d| d.thing)
             .collect();
         out.sort();

@@ -67,7 +67,7 @@ fn every_plugged_thing_is_discovered_exactly_once_at_500_nodes() {
         let mut per_thing: BTreeMap<std::net::Ipv6Addr, usize> = BTreeMap::new();
         for d in &fleet.world.client(client).discovered[before..] {
             assert!(d.solicited, "wave adverts were consumed before");
-            assert_eq!(d.advert.peripheral, device.raw(), "wrong group answered");
+            assert_eq!(d.peripheral, device.raw(), "wrong group answered");
             *per_thing.entry(d.thing).or_default() += 1;
         }
         let expected: Vec<std::net::Ipv6Addr> = (0..fleet.things.len())

@@ -31,7 +31,7 @@ fn plug_pipeline_installs_driver_and_advertises() {
     // The client heard the unsolicited advertisement.
     let ads = &w.client(client).discovered;
     assert_eq!(ads.len(), 1);
-    assert_eq!(ads[0].advert.peripheral, prototypes::TMP36.raw());
+    assert_eq!(ads[0].peripheral, prototypes::TMP36.raw());
     assert!(!ads[0].solicited);
 
     // The timeline is fully populated.

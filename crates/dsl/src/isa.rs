@@ -138,7 +138,7 @@ pub enum Op {
 
 impl Op {
     /// Decodes an opcode byte.
-    pub fn from_byte(b: u8) -> Option<Op> {
+    pub const fn from_byte(b: u8) -> Option<Op> {
         use Op::*;
         Some(match b {
             0x00 => Nop,
@@ -202,7 +202,7 @@ impl Op {
     }
 
     /// The number of operand bytes following the opcode.
-    pub fn operand_len(self) -> usize {
+    pub const fn operand_len(self) -> usize {
         use Op::*;
         match self {
             Push8 => 1,
@@ -216,7 +216,7 @@ impl Op {
     }
 
     /// How many cells the instruction pops (statically known).
-    pub fn pops(self) -> usize {
+    pub const fn pops(self) -> usize {
         use Op::*;
         match self {
             Pop | Stg | Stl | RetV | Jz | Jnz | Neg | FNeg | BNot | LNot | I2F | F2I => 1,
@@ -232,7 +232,7 @@ impl Op {
 
     /// How many cells the instruction pushes (statically known; `Sig` pops
     /// its argc dynamically and is handled separately by the verifier).
-    pub fn pushes(self) -> usize {
+    pub const fn pushes(self) -> usize {
         use Op::*;
         match self {
             Push8 | Push16 | Push32 | PushF | Ldg | Ldl | Lda | Len | IncG => 1,

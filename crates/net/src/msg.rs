@@ -268,6 +268,46 @@ pub struct AdvertisedPeripheral {
     pub tlvs: Vec<Tlv>,
 }
 
+/// A validated (1)/(3) advertisement body read in place from its frame
+/// by [`Message::peek_adverts`]: the receiver walks the advertised
+/// peripherals without decoding their TLV lists into owned tuples.
+#[derive(Debug, Clone, Copy)]
+pub struct AdvertsView<'a> {
+    /// True for a (3) solicited advertisement, false for a (1).
+    pub solicited: bool,
+    count: usize,
+    /// The body after the peripheral-count byte.
+    body: &'a [u8],
+}
+
+impl<'a> AdvertsView<'a> {
+    /// Number of advertised peripherals.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// True if the advertisement lists no peripheral (a Thing's last
+    /// unplug).
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Each advertised peripheral's device id and TLV list in wire form
+    /// (count byte and tuples, as [`tlv::decode_list`] reads it), in
+    /// message order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &'a [u8])> + 'a {
+        let body = self.body;
+        let mut i = 0;
+        (0..self.count).map_while(move |_| {
+            let peripheral = u32::from_be_bytes(body.get(i..i + 4)?.try_into().ok()?);
+            let start = i + 4;
+            i = start;
+            tlv::skip_list(body, &mut i)?;
+            Some((peripheral, &body[start..i]))
+        })
+    }
+}
+
 /// The message bodies, numbered (1)–(17) as in the paper.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MessageBody {
@@ -571,6 +611,31 @@ impl Message {
         let len = u16::from_be_bytes(data.get(7..9)?.try_into().ok()?) as usize;
         let image = &data[9..];
         (image.len() == len).then_some((peripheral, image))
+    }
+
+    /// Reads a (1)/(3) advertisement in place: `Some` exactly when
+    /// [`Message::decode`] would accept `data` as a
+    /// [`MessageBody::UnsolicitedAdvertisement`] or
+    /// [`MessageBody::SolicitedAdvertisement`], with the same
+    /// peripherals and TLV lists, and without allocating.
+    pub fn peek_adverts(data: &[u8]) -> Option<AdvertsView<'_>> {
+        let solicited = match *data.first()? {
+            1 => false,
+            3 => true,
+            _ => return None,
+        };
+        let count = *data.get(3)? as usize;
+        let mut i = 4;
+        for _ in 0..count {
+            data.get(i..i + 4)?;
+            i += 4;
+            tlv::skip_list(data, &mut i)?;
+        }
+        (i == data.len()).then(|| AdvertsView {
+            solicited,
+            count,
+            body: &data[4..],
+        })
     }
 
     /// Parses a UDP payload.

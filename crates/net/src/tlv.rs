@@ -119,6 +119,22 @@ pub fn decode_list(data: &[u8], i: &mut usize) -> Option<Vec<Tlv>> {
     Some(out)
 }
 
+/// Walks the TLV list at `*i` without copying it: `Some` exactly when
+/// [`decode_list`] would accept it, leaving `*i` where `decode_list`
+/// would.
+pub fn skip_list(data: &[u8], i: &mut usize) -> Option<()> {
+    let count = *data.get(*i)? as usize;
+    *i += 1;
+    for _ in 0..count {
+        let len = *data.get(*i + 1)? as usize;
+        *i += 2 + len;
+        if *i > data.len() {
+            return None;
+        }
+    }
+    Some(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,6 +172,22 @@ mod tests {
         for cut in 1..buf.len() {
             let mut i = 0;
             assert!(decode_list(&buf[..cut], &mut i).is_none(), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn skip_agrees_with_decode_on_every_cut() {
+        let tlvs = vec![
+            Tlv::text(TlvType::Name, "BMP180"),
+            Tlv::new(TlvType::Channel, vec![2]),
+        ];
+        let mut buf = Vec::new();
+        encode_list(&tlvs, &mut buf);
+        for cut in 0..=buf.len() {
+            let (mut i, mut j) = (0, 0);
+            let decoded = decode_list(&buf[..cut], &mut i).map(|_| i);
+            let skipped = skip_list(&buf[..cut], &mut j).map(|_| j);
+            assert_eq!(skipped, decoded, "cut {cut}");
         }
     }
 

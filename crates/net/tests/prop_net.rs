@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use upnp_net::addr;
 use upnp_net::link::{LinkChaos, LinkDegrade, LinkQuality};
-use upnp_net::msg::{Message, MessageBody, Value};
+use upnp_net::msg::{AdvertisedPeripheral, Message, MessageBody, Value};
 use upnp_net::rpl::{Dodag, Topology};
 use upnp_net::tlv::{self, Tlv, TlvType};
 use upnp_net::{Datagram, Network, NodeId};
@@ -41,6 +41,95 @@ proptest! {
             MessageBody::DriverUpload { peripheral, image } => Some((peripheral, image)),
             _ => None,
         });
+        prop_assert_eq!(peeked, decoded);
+    }
+
+    /// The (1)/(3) advertisement peek is total and agrees with the full
+    /// decoder on every frame: the same kind, peripherals and TLV lists
+    /// (compared as wire bytes) when `decode` yields an advertisement,
+    /// `None` otherwise. `mode` picks uniform bytes under an advertisement
+    /// type byte, a well-formed advertisement, or one cut short or padded
+    /// by `slack + 1` bytes, so the accept path and its off-by-one
+    /// neighbours are reached as often as the reject paths.
+    #[test]
+    fn advert_peek_agrees_with_decode(
+        ads in prop::collection::vec(
+            (any::<u32>(), prop::collection::vec(
+                (any::<u8>(), prop::collection::vec(any::<u8>(), 0..6)),
+                0..4,
+            )),
+            0..4,
+        ),
+        solicited: bool,
+        noise in prop::collection::vec(any::<u8>(), 0..120),
+        mode in 0u8..4,
+        slack in 0usize..3,
+    ) {
+        let ty = if solicited { 3 } else { 1 };
+        let wire = || {
+            let ads = ads
+                .iter()
+                .map(|(peripheral, tlvs)| AdvertisedPeripheral {
+                    peripheral: *peripheral,
+                    tlvs: tlvs
+                        .iter()
+                        .map(|(tag, value)| Tlv::new(TlvType::from_tag(*tag), value.clone()))
+                        .collect(),
+                })
+                .collect();
+            let body = if solicited {
+                MessageBody::SolicitedAdvertisement(ads)
+            } else {
+                MessageBody::UnsolicitedAdvertisement(ads)
+            };
+            Message { seq: 9, body }.encode()
+        };
+        let bytes = match mode {
+            0 => {
+                let mut b = noise.clone();
+                if let Some(first) = b.first_mut() {
+                    *first = ty;
+                }
+                b
+            }
+            1 => wire(),
+            2 => {
+                let mut b = wire();
+                b.truncate(b.len().saturating_sub(slack + 1));
+                b
+            }
+            _ => {
+                let mut b = wire();
+                b.extend_from_slice(&noise[..noise.len().min(slack + 1)]);
+                b
+            }
+        };
+        let peeked = match Message::peek_adverts(&bytes) {
+            Some(view) => {
+                prop_assert_eq!(view.len(), view.iter().count());
+                let ads: Vec<(u32, Vec<u8>)> =
+                    view.iter().map(|(p, tlvs)| (p, tlvs.to_vec())).collect();
+                Some((view.solicited, ads))
+            }
+            None => None,
+        };
+        let as_wire = |ads: Vec<AdvertisedPeripheral>| -> Vec<(u32, Vec<u8>)> {
+            ads.into_iter()
+                .map(|a| {
+                    let mut out = Vec::new();
+                    tlv::encode_list(&a.tlvs, &mut out);
+                    (a.peripheral, out)
+                })
+                .collect()
+        };
+        let decoded = Message::decode(&bytes).and_then(|m| match m.body {
+            MessageBody::UnsolicitedAdvertisement(ads) => Some((false, as_wire(ads))),
+            MessageBody::SolicitedAdvertisement(ads) => Some((true, as_wire(ads))),
+            _ => None,
+        });
+        if mode == 1 {
+            prop_assert!(decoded.is_some(), "a well-formed advertisement decodes");
+        }
         prop_assert_eq!(peeked, decoded);
     }
 

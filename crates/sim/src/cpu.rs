@@ -112,7 +112,13 @@ impl AvrCostModel {
 
     /// Converts a cycle cost to the energy spent executing it, in joules.
     pub fn energy_j(&self, cost: CpuCost) -> f64 {
-        self.supply_v * self.active_a * self.duration(cost).as_secs_f64()
+        self.energy_over(self.duration(cost))
+    }
+
+    /// The energy spent executing for `duration` (say, one already
+    /// computed by [`AvrCostModel::duration`]), in joules.
+    pub fn energy_over(&self, duration: SimDuration) -> f64 {
+        self.supply_v * self.active_a * duration.as_secs_f64()
     }
 
     /// Returns the number of whole cycles that fit in `dt`.

@@ -39,7 +39,7 @@ pub struct VmCostModel;
 impl VmCostModel {
     /// The work term of an opcode: everything beyond dispatch and stack
     /// traffic.
-    fn work_cycles(op: Op) -> u64 {
+    const fn work_cycles(op: Op) -> u64 {
         use Op::*;
         match op {
             Nop => 4,
@@ -67,7 +67,7 @@ impl VmCostModel {
     }
 
     /// Full cycle cost of executing one instruction.
-    pub fn instruction(&self, op: Op) -> CpuCost {
+    pub const fn instruction(&self, op: Op) -> CpuCost {
         let cycles = DISPATCH_CYCLES
             + op.pops() as u64 * POP_CYCLES
             + op.pushes() as u64 * PUSH_CYCLES

@@ -319,8 +319,9 @@ impl Runtime {
     }
 
     fn charge_cpu(&mut self, cost: CpuCost) {
-        self.now += self.avr.duration(cost);
-        self.cpu_meter.charge_j(self.avr.energy_j(cost));
+        let duration = self.avr.duration(cost);
+        self.now += duration;
+        self.cpu_meter.charge_j(self.avr.energy_over(duration));
     }
 
     fn resolve_deferred(&mut self, action: DeferredAction) {

@@ -26,6 +26,37 @@ pub const STACK_DEPTH: usize = upnp_dsl::vm_limits::STACK_DEPTH;
 /// loop). Shared ABI limit.
 pub const GAS_LIMIT: u64 = upnp_dsl::vm_limits::GAS_LIMIT;
 
+/// One opcode byte as the interpreter needs it: the op, how many operand
+/// bytes follow it and what executing it costs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Decoded {
+    op: Op,
+    operands: u8,
+    cycles: u32,
+}
+
+/// The interpreter's decode table: entry `b` is byte `b` decoded by
+/// [`Op::from_byte`], [`Op::operand_len`] and
+/// [`VmCostModel::instruction`], or `None` for an undecodable byte. One
+/// lookup per instruction replaces a `match` in each of them.
+static DECODE: [Option<Decoded>; 256] = decode_table();
+
+const fn decode_table() -> [Option<Decoded>; 256] {
+    let mut table = [None; 256];
+    let mut b = 0;
+    while b < table.len() {
+        if let Some(op) = Op::from_byte(b as u8) {
+            table[b] = Some(Decoded {
+                op,
+                operands: op.operand_len() as u8,
+                cycles: VmCostModel.instruction(op).cycles as u32,
+            });
+        }
+        b += 1;
+    }
+    table
+}
+
 /// Interpreter faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VmError {
@@ -110,7 +141,6 @@ pub struct DriverInstance {
     scalar_types: Vec<Type>,
     arrays: Vec<Vec<Cell>>,
     array_types: Vec<Type>,
-    cost_model: VmCostModel,
 }
 
 impl DriverInstance {
@@ -141,7 +171,6 @@ impl DriverInstance {
             scalar_types,
             arrays,
             array_types,
-            cost_model: VmCostModel,
         }
     }
 
@@ -187,7 +216,8 @@ impl DriverInstance {
         let mut pc = entry.offset as usize;
         let mut locals: Vec<Cell> = args.to_vec();
         locals.resize(entry.n_params.max(args.len() as u8) as usize, Cell::ZERO);
-        let mut stack: Vec<Cell> = Vec::with_capacity(STACK_DEPTH);
+        let mut stack = [Cell::ZERO; STACK_DEPTH];
+        let mut depth = 0;
         // Borrowed once: the image sits behind an `Arc`, and the loop
         // below writes globals through `self`.
         let code = self.image.code.as_slice();
@@ -200,19 +230,21 @@ impl DriverInstance {
             }};
         }
         macro_rules! pop {
-            () => {
-                match stack.pop() {
-                    Some(v) => v,
-                    None => fault!(VmError::StackUnderflow),
+            () => {{
+                if depth == 0 {
+                    fault!(VmError::StackUnderflow);
                 }
-            };
+                depth -= 1;
+                stack[depth]
+            }};
         }
         macro_rules! push {
             ($v:expr) => {{
-                if stack.len() >= STACK_DEPTH {
+                if depth >= STACK_DEPTH {
                     fault!(VmError::StackOverflow);
                 }
-                stack.push($v);
+                stack[depth] = $v;
+                depth += 1;
             }};
         }
 
@@ -226,17 +258,22 @@ impl DriverInstance {
                 break;
             }
             let byte = code[pc];
-            let Some(op) = Op::from_byte(byte) else {
+            let Some(Decoded {
+                op,
+                operands: n,
+                cycles,
+            }) = DECODE[byte as usize]
+            else {
                 fault!(VmError::BadOpcode(byte));
             };
-            let n = op.operand_len();
+            let n = n as usize;
             if pc + 1 + n > code_len {
                 fault!(VmError::BadJump);
             }
             let operands = &code[pc + 1..pc + 1 + n];
             let mut next_pc = pc + 1 + n;
             outcome.instructions += 1;
-            outcome.cost += self.cost_model.instruction(op);
+            outcome.cost += CpuCost::cycles(cycles as u64);
 
             match op {
                 Op::Nop => {}
@@ -517,6 +554,17 @@ mod tests {
     // equivalence is `tests/differential.rs`'s job.
     fn instance(src: &str) -> DriverInstance {
         DriverInstance::new(compile_source_with(src, 1, OptLevel::None).expect("compile"))
+    }
+
+    #[test]
+    fn decode_table_agrees_with_the_isa_and_the_cost_model() {
+        for b in 0..=255u8 {
+            let expected =
+                Op::from_byte(b).map(|op| (op, op.operand_len(), VmCostModel.instruction(op)));
+            let decoded = DECODE[b as usize]
+                .map(|d| (d.op, d.operands as usize, CpuCost::cycles(d.cycles as u64)));
+            assert_eq!(decoded, expected, "byte {b:#04x}");
+        }
     }
 
     const PROLOGUE: &str = "event destroy():\n    return;\n";

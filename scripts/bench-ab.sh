@@ -8,9 +8,12 @@
 # run_seconds on both sides. For every end-to-end metric it prints each
 # side's median and quartiles, the change in the median, how many pairs
 # the head side won (ties count for neither) and whether the medians
-# differ by more than the base side's interquartile range. It also
-# reports whether both sides printed the same fingerprint and summary
-# digest, which a host-only change must leave alone.
+# differ by more than the base side's interquartile range. The verdict
+# also says when the change in the median passes the metric's "bound"
+# from BENCHMARK.json (a relative change, either way): a head that is
+# worse past its bound fails the benchmark check. It also reports
+# whether both sides printed the same fingerprint and summary digest,
+# which a host-only change must leave alone.
 #
 # usage: scripts/bench-ab.sh BASE_REF [HEAD_REF [PAIRS [SEED [WORKLOAD...]]]]
 #
@@ -35,9 +38,9 @@ else
 fi
 # The command array, e.g. cargo run --release ... --manifest-path fleetbench/Cargo.toml --
 read -r -a command <<<"$(sed -n 's/.*"command": *\[\(.*\)\].*/\1/p' BENCHMARK.json | tr -d '",')"
-# End-to-end metrics are the entries that carry a bound: "name better".
+# End-to-end metrics are the entries that carry a bound: "name better bound".
 metrics=$(grep '"bound"' BENCHMARK.json |
-    sed 's/.*"name": *"\([a-z_0-9]*\)".*"better": *"\([a-z]*\)".*/\1 \2/')
+    sed 's/.*"name": *"\([a-z_0-9]*\)".*"better": *"\([a-z]*\)".*"bound": *\([0-9.]*\).*/\1 \2 \3/')
 
 out=target/bench-ab
 mkdir -p "$out"
@@ -106,7 +109,9 @@ function q(a, n, p,   h, lo) {
 }
 BEGIN {
     nm = split(ENVIRON["METRICS"], m, "\n")
-    for (i = 1; i <= nm; i++) { split(m[i], f, " "); name[i] = f[1]; better[f[1]] = f[2] }
+    for (i = 1; i <= nm; i++) {
+        split(m[i], f, " "); name[i] = f[1]; better[f[1]] = f[2]; bound[f[1]] = f[3]
+    }
 }
 $4 == "ids" { ids[$1, $3] = ids[$1, $3] == "" || ids[$1, $3] == $5 ? $5 : "MIXED"; next }
 {
@@ -137,6 +142,10 @@ END {
             diff = mh - mb; if (diff < 0) diff = -diff
             verdict = diff == 0 ? "identical" : diff > iqr ? \
                 (((better[x] == "higher") == (mh > mb)) ? "better, beyond base IQR" : "worse, beyond base IQR") : "within base IQR"
+            # The merge rule: a relative change in the median past the bound.
+            if (mb != 0 ? diff / (mb < 0 ? -mb : mb) > bound[x] : diff > 0)
+                verdict = verdict sprintf("; %s past its %g%% bound", \
+                    ((better[x] == "higher") == (mh > mb)) ? "better" : "WORSE", bound[x] * 100)
             printf "  %-16s %11.6g [%.6g, %.6g]  %11.6g [%.6g, %.6g] %+8.2f%% %3d/%-2d %s\n", \
                 x, mb, q(b, nb, 0.25), q(b, nb, 0.75), mh, q(h, nh, 0.25), q(h, nh, 0.75), change, wins, np, verdict
             delete b; delete h

@@ -42,10 +42,8 @@ fn advertisements_carry_the_location_tlv() {
     w.set_location(thing, "rooftop");
     w.plug_and_wait(thing, 0, prototypes::BMP180);
 
-    let ad = &w.client(client).discovered[0];
-    let loc = ad
-        .advert
-        .tlvs
+    let tlvs = w.client(client).discovered[0].tlvs();
+    let loc = tlvs
         .iter()
         .find(|t| t.ty == micropnp::net::tlv::TlvType::Location)
         .and_then(|t| t.as_text());
